@@ -242,7 +242,10 @@ let stats path json heap_seg heap_base =
     print_string (Rvm_obs.Json.to_string_pretty (Rvm_obs.Registry.to_json obs))
   else Format.printf "%a@." Rvm_obs.Registry.pp obs
 
-(* --- check: the deterministic crash-point explorer --- *)
+(* --- check: the deterministic crash-point explorers --- *)
+
+module Lab = Rvm_check.Crash_lab
+module Shrink = Rvm_check.Shrink
 
 let check_elr seed exhaustive sector shards =
   let module Ec = Rvm_check.Elr_check in
@@ -260,7 +263,7 @@ let check_elr seed exhaustive sector shards =
     shards config.Ec.requests config.Ec.read_pct seed;
   let outcome = Ec.run ~config () in
   Format.printf "%a@." Ec.pp_outcome outcome;
-  if outcome.Ec.violations <> [] then exit 1
+  if outcome.Lab.violations <> [] then exit 1
 
 let check_sharded ops_n seed exhaustive sector incremental shards
     mid_truncation =
@@ -290,12 +293,14 @@ let check_sharded ops_n seed exhaustive sector incremental shards
     shards seed (Sc.to_string ops);
   let outcome = Sc.run ~config ops in
   Format.printf "%a@." Sc.pp_outcome outcome;
-  if outcome.Sc.violations <> [] then begin
+  if outcome.Lab.violations <> [] then begin
     Format.printf "@.shrinking...@.";
-    let shrunk = Sc.minimize ~check:(Sc.violates ~config) ops in
+    let shrunk =
+      Shrink.minimize ~candidates:Shrink.drop ~check:(Sc.violates ~config) ops
+    in
     Format.printf "minimal workload: %s@." (Sc.to_string shrunk);
     let o = Sc.run ~config shrunk in
-    List.iter (Format.printf "%a@." Sc.pp_violation) o.Sc.violations;
+    List.iter (Format.printf "%a@." Lab.pp_violation) o.Lab.violations;
     exit 1
   end
 
@@ -307,60 +312,46 @@ let check_btree exhaustive sector =
     config.Bc.degree sector
     (if exhaustive then ", exhaustive" else "");
   let o = Bc.run ~config () in
-  Printf.printf
-    "events %d (%d writes, %d syncs), %d boundaries, %d torn variants, %d \
-     recoveries\n"
-    o.Bc.events o.Bc.writes o.Bc.syncs o.Bc.boundaries o.Bc.torn_variants
-    o.Bc.recoveries;
-  Printf.printf
-    "commits %d (durable prefix %d); structural coverage: %d splits, %d \
-     merges, %d borrows\n"
-    o.Bc.commits o.Bc.durable o.Bc.splits o.Bc.merges o.Bc.borrows;
-  if o.Bc.splits = 0 || o.Bc.merges = 0 || o.Bc.borrows = 0 then begin
+  Format.printf "%a@." Bc.pp_outcome o;
+  let x = o.Lab.extra in
+  if x.Bc.splits = 0 || x.Bc.merges = 0 || x.Bc.borrows = 0 then begin
     print_endline
       "coverage failure: the scripted workload did not reach every \
        structural path";
     exit 1
   end;
-  match o.Bc.violations with
-  | [] -> print_endline "zero violations"
-  | vs ->
-    Printf.printf "%d violation(s):\n" (List.length vs);
-    List.iter
-      (fun (v : Bc.violation) ->
-        Printf.printf "  crash upto=%d torn=%s required=%d/%d: %s\n"
-          v.Bc.crash.Bc.upto
-          (match v.Bc.crash.Bc.torn with
-          | Some t -> string_of_int t
-          | None -> "-")
-          v.Bc.required v.Bc.commits v.Bc.reason)
-      vs;
-    exit 1
+  if o.Lab.violations <> [] then exit 1
 
 let check ops_n seed exhaustive sector incremental shards mid_truncation elr
     btree =
-  if sector <= 0 then begin
-    Printf.eprintf "rvmutl: --sector must be positive (got %d)\n" sector;
-    exit 2
-  end;
-  if ops_n < 0 then begin
-    Printf.eprintf "rvmutl: --ops must be non-negative (got %d)\n" ops_n;
-    exit 2
-  end;
-  if shards < 1 then begin
-    Printf.eprintf "rvmutl: --shards must be at least 1 (got %d)\n" shards;
-    exit 2
-  end;
+  let reject fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline ("rvmutl: " ^ msg);
+        exit 2)
+      fmt
+  in
+  if sector <= 0 then reject "--sector must be positive (got %d)" sector;
+  if ops_n < 0 then reject "--ops must be non-negative (got %d)" ops_n;
+  if shards < 1 then reject "--shards must be at least 1 (got %d)" shards;
+  if elr && btree then reject "--elr and --btree are exclusive";
+  if btree && (shards > 1 || incremental || mid_truncation) then
+    reject
+      "--btree explores a fixed single-log workload; it takes no --shards, \
+       --incremental or --mid-truncation";
+  if elr && (incremental || mid_truncation) then
+    reject "--elr takes no --incremental or --mid-truncation";
   if btree then check_btree exhaustive sector
   else if elr then check_elr seed exhaustive sector shards
   else if shards > 1 then
     check_sharded ops_n seed exhaustive sector incremental shards
       mid_truncation
   else
+  let module Ex = Rvm_check.Explorer in
   let config =
     {
-      Rvm_check.Explorer.default_config with
-      Rvm_check.Explorer.exhaustive;
+      Ex.default_config with
+      Ex.exhaustive;
       sector;
       truncation_mode =
         (if incremental then Rvm_core.Types.Incremental
@@ -369,27 +360,27 @@ let check ops_n seed exhaustive sector incremental shards mid_truncation elr
       (* A small log keeps the truncator due from the first commits, so
          the Step ops in the workload really advance runs. *)
       log_size =
-        (if mid_truncation then 16 * 1024
-         else Rvm_check.Explorer.default_config.Rvm_check.Explorer.log_size);
+        (if mid_truncation then 16 * 1024 else Ex.default_config.Ex.log_size);
     }
   in
   let rng = Rvm_util.Rng.create ~seed:(Int64.of_int seed) in
   let ops =
     Rvm_check.Workload.generate ~mid_truncation ~rng ~ops:ops_n
-      ~region_len:config.Rvm_check.Explorer.region_len ()
+      ~region_len:config.Ex.region_len ()
   in
   Printf.printf "workload (%d ops, seed %d): %s\n\n" ops_n seed
     (Rvm_check.Workload.to_string ops);
-  let outcome = Rvm_check.Explorer.run ~config ops in
-  Format.printf "%a@." Rvm_check.Report.pp_outcome outcome;
-  if outcome.Rvm_check.Explorer.violations <> [] then begin
+  let outcome = Ex.run ~config ops in
+  Format.printf "%a@." Ex.pp_outcome outcome;
+  if outcome.Lab.violations <> [] then begin
     Format.printf "@.shrinking...@.";
     let shrunk =
-      Rvm_check.Shrink.minimize
-        ~check:(Rvm_check.Explorer.violates ~config)
+      Shrink.minimize ~candidates:Shrink.workload ~check:(Ex.violates ~config)
         ops
     in
-    Format.printf "%a@." Rvm_check.Report.pp_counterexample shrunk;
+    Format.printf "@[<v>minimal counterexample (%d op(s)):@ %a@ replay: %s@]@."
+      (List.length shrunk) Rvm_check.Workload.pp shrunk
+      (Rvm_check.Workload.to_string shrunk);
     exit 1
   end
 
@@ -1001,7 +992,8 @@ let check_cmd =
              it vouches for, that survivors form per-shard spool-order \
              prefixes, and that recovered balances match the serial \
              reference over exactly the surviving set. Combines with \
-             --shards, --seed, --sector, --exhaustive; ignores --ops.")
+             --shards, --seed, --sector, --exhaustive; ignores --ops; \
+             rejects --btree, --incremental and --mid-truncation (exit 2).")
   in
   let btree =
     Arg.(
@@ -1016,7 +1008,8 @@ let check_cmd =
              invariant checkers run, and the contents compared against the \
              committed snapshots. Combines with --sector and --exhaustive; \
              ignores --ops and --seed (the workload is fixed so coverage \
-             of every rebalancing shape is guaranteed).")
+             of every rebalancing shape is guaranteed); rejects --elr, \
+             --shards above 1, --incremental and --mid-truncation (exit 2).")
   in
   Cmd.v
     (Cmd.info "check"

@@ -1,16 +1,12 @@
-(* Crash-point exploration for the recoverable B-tree.
-
-   Same crash model as {!Explorer} — every write/sync boundary of a
-   recorded run, plus torn variants of each straddling write — but the
-   recovered image is judged structurally: reattach the Rds heap and the
-   tree, run both full invariant checkers, and demand the tree's
-   contents equal some committed snapshot at least as new as the last
-   durable point. A crash that lands mid-split or mid-merge therefore
-   has to recover to a whole tree on both sides of the commit record. *)
+(* Crash-point exploration for the recoverable B-tree. The crash model is
+   {!Crash_lab}'s; the oracle is structural: reattach the Rds heap and the
+   tree, run both full invariant checkers, and demand the tree's contents
+   equal some committed snapshot at least as new as the last durable
+   point. A crash that lands mid-split or mid-merge therefore has to
+   recover to a whole tree on both sides of the commit record. *)
 
 open Rvm_core
 module Mem_device = Rvm_disk.Mem_device
-module Trace_device = Rvm_disk.Trace_device
 module Rds = Rvm_alloc.Rds
 module Pbtree = Rvm_pds.Pbtree
 
@@ -45,29 +41,15 @@ type op =
   | Flush
   | Truncate
 
-type crash_point = { upto : int; torn : int option }
-
-type violation = {
-  crash : crash_point;
-  required : int;  (** snapshot index that had to survive *)
-  commits : int;
-  reason : string;
-}
-
-type outcome = {
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
+type extras = {
   commits : int;
   durable : int;
-  splits : int;  (** structural coverage of the recorded run *)
+  splits : int;
   merges : int;
   borrows : int;
-  violations : violation list;
 }
+
+type outcome = extras Crash_lab.outcome
 
 let key_of i = Printf.sprintf "k%03d" i
 
@@ -147,30 +129,33 @@ let apply_model m actions =
       | Put (k, v) -> SMap.add k v m | Remove k -> SMap.remove k m)
     m actions
 
-(* Run the ops against traced devices. Returns the recorder, the trace
-   handles, committed snapshots as an array (index 0 = baseline empty
-   tree), durability checkpoints [(event_count, snapshot_index)] and the
-   tree's structural counters. *)
-let run_workload config ops tree_addr log_mem seg_mem =
-  let recorder = Trace_device.create_recorder () in
-  let tlog = Trace_device.wrap recorder log_mem in
-  let tseg = Trace_device.wrap recorder seg_mem in
+(* Open the engine over a log and a segment device and reattach the heap
+   and the tree. *)
+let attach_tree config ?obs ~log ~seg tree_addr =
   let rvm =
-    Rvm.reinitialize ~options:(options_of config)
-      ~log:(Trace_device.device tlog)
-      ~resolve:(fun _ -> Trace_device.device tseg)
+    Rvm.reinitialize ~options:(options_of config) ?obs ~log
+      ~resolve:(fun _ -> seg)
       ()
   in
   ignore
     (Rvm.map rvm ~vaddr:heap_base ~seg:1 ~seg_off:0 ~len:config.heap_len ());
   let heap = Rds.attach rvm ~base:heap_base in
-  let tree = Pbtree.attach rvm heap ~addr:tree_addr in
+  (rvm, heap, Pbtree.attach rvm heap ~addr:tree_addr)
+
+(* Run the ops against the lab's devices. Returns committed snapshots as
+   an array (index 0 = baseline empty tree), durability checkpoints
+   [(event_count, snapshot_index)] and the tree's structural counters. *)
+let run_workload lab config ops tree_addr ~log ~seg =
+  let rvm, _, tree =
+    attach_tree config ~obs:(Crash_lab.obs lab) ~log:(Crash_lab.device log)
+      ~seg:(Crash_lab.device seg) tree_addr
+  in
   let snapshots = ref [ SMap.empty ] in
   let model = ref SMap.empty in
   let checkpoints = ref [ (0, 0) ] in
   let note_durable () =
     checkpoints :=
-      (Trace_device.event_count recorder, List.length !snapshots - 1)
+      (Crash_lab.event_count lab, List.length !snapshots - 1)
       :: !checkpoints
   in
   let apply tid actions =
@@ -200,94 +185,63 @@ let run_workload config ops tree_addr log_mem seg_mem =
       | Truncate -> Rvm.truncate rvm)
     ops;
   let snapshots = Array.of_list (List.rev !snapshots) in
-  (recorder, tlog, tseg, snapshots, !checkpoints, Pbtree.stats tree)
+  (snapshots, !checkpoints, Pbtree.stats tree)
 
-(* Mount a reconstructed image pair, recover, reattach, and return the
-   structural verdict plus the recovered contents. *)
-let recover_image config tree_addr ~log_img ~seg_img =
-  let log_dev = Mem_device.of_bytes ~name:"btree-replay-log" log_img in
-  let seg_dev = Mem_device.of_bytes ~name:"btree-replay-seg" seg_img in
-  let rvm =
-    Rvm.reinitialize ~options:(options_of config) ~log:log_dev
-      ~resolve:(fun _ -> seg_dev)
-      ()
-  in
-  ignore
-    (Rvm.map rvm ~vaddr:heap_base ~seg:1 ~seg_off:0 ~len:config.heap_len ());
-  let heap = Rds.attach rvm ~base:heap_base in
-  let tree = Pbtree.attach rvm heap ~addr:tree_addr in
+(* Recover a crash image pair, reattach, run both invariant checkers and
+   return the recovered contents. *)
+let recover config tree_addr ~log ~seg =
+  let _, heap, tree = attach_tree config ~log ~seg tree_addr in
   Rds.check heap;
   Pbtree.check tree;
-  List.rev (Pbtree.fold tree ~init:[] ~f:(fun acc ~key ~value -> (key, value) :: acc))
+  List.rev
+    (Pbtree.fold tree ~init:[] ~f:(fun acc ~key ~value -> (key, value) :: acc))
 
 let run ?(config = default_config) ?(ops = default_ops) () =
-  if config.sector <= 0 then
-    invalid_arg "Btree_check.run: sector must be positive";
   let log_mem = Mem_device.create ~name:"btree-log" ~size:config.log_size () in
   let seg_mem =
     Mem_device.create ~name:"btree-seg" ~size:(config.heap_len + 4096) ()
   in
   let tree_addr = setup config log_mem seg_mem in
-  let recorder, tlog, tseg, snapshots, checkpoints, stats =
-    run_workload config ops tree_addr log_mem seg_mem
+  let lab = Crash_lab.create () in
+  let log = Crash_lab.attach lab log_mem in
+  let seg = Crash_lab.attach lab seg_mem in
+  let snapshots, checkpoints, stats =
+    run_workload lab config ops tree_addr ~log ~seg
   in
-  let events = Trace_device.events recorder in
-  let n = Array.length events in
-  let required_at k =
-    List.fold_left
-      (fun acc (e, d) -> if e <= k then max acc d else acc)
-      0 checkpoints
-  in
+  (* Checkpoints only grow, so the newest one at or before [k] holds. *)
+  let required_at k = snd (List.find (fun (e, _) -> e <= k) checkpoints) in
   let commits = Array.length snapshots - 1 in
-  let violations = ref [] in
-  let recoveries = ref 0 in
-  let torn_total = ref 0 in
-  let check crash =
-    incr recoveries;
-    let torn = crash.torn in
-    let log_img = Trace_device.image tlog ~events ~upto:crash.upto ?torn () in
-    let seg_img = Trace_device.image tseg ~events ~upto:crash.upto ?torn () in
-    let required = required_at crash.upto in
-    let fail reason =
-      violations := { crash; required; commits; reason } :: !violations
-    in
-    match recover_image config tree_addr ~log_img ~seg_img with
-    | exception e -> fail ("recovery or reattach raised: " ^ Printexc.to_string e)
-    | contents ->
-      let matches i = SMap.bindings snapshots.(i) = contents in
-      let rec scan i = i <= commits && (matches i || scan (i + 1)) in
-      if not (scan required) then
-        fail
-          (Printf.sprintf
-             "recovered %d entries match no committed snapshot >= %d"
-             (List.length contents) required)
+  let o =
+    Crash_lab.explore lab ~sector:config.sector ~exhaustive:config.exhaustive
+      ~max_torn_per_write:config.max_torn_per_write
+      ~recover:(fun mount ->
+        recover config tree_addr ~log:(mount log) ~seg:(mount seg))
+      ~judge:(fun crash contents ->
+        let required = required_at crash.Crash_lab.upto in
+        let matches i = SMap.bindings snapshots.(i) = contents in
+        let rec scan i = i <= commits && (matches i || scan (i + 1)) in
+        if scan required then Ok ()
+        else
+          Error
+            (Printf.sprintf
+               "recovered %d entries match no committed snapshot >= %d of %d"
+               (List.length contents) required commits))
+      ()
   in
-  check { upto = 0; torn = None };
-  for k = 0 to n - 1 do
-    (match events.(k).Trace_device.kind with
-    | Trace_device.Write { off; data } ->
-      let len = Bytes.length data in
-      let positions =
-        Explorer.torn_positions ~sector:config.sector
-          ~exhaustive:config.exhaustive
-          ~max_per_write:config.max_torn_per_write ~off ~len
-      in
-      List.iter (fun p -> check { upto = k; torn = Some p }) positions;
-      torn_total := !torn_total + List.length positions
-    | Trace_device.Sync -> ());
-    check { upto = k + 1; torn = None }
-  done;
   {
-    events = n;
-    writes = Trace_device.write_count recorder;
-    syncs = Trace_device.sync_count recorder;
-    boundaries = n + 1;
-    torn_variants = !torn_total;
-    recoveries = !recoveries;
-    commits;
-    durable = required_at n;
-    splits = stats.Pbtree.splits;
-    merges = stats.Pbtree.merges;
-    borrows = stats.Pbtree.borrows;
-    violations = List.rev !violations;
+    o with
+    extra =
+      {
+        commits;
+        durable = required_at o.events;
+        splits = stats.Pbtree.splits;
+        merges = stats.Pbtree.merges;
+        borrows = stats.Pbtree.borrows;
+      };
   }
+
+let pp_outcome =
+  Crash_lab.pp_outcome (fun ppf x ->
+      Format.fprintf ppf
+        "%d commits (%d known durable); %d splits, %d merges, %d borrows"
+        x.commits x.durable x.splits x.merges x.borrows)

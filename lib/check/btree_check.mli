@@ -1,10 +1,9 @@
 (** Crash-point exploration for the recoverable B-tree
     ({!Rvm_pds.Pbtree}).
 
-    Reuses {!Explorer}'s crash model — recover at every write/sync
-    boundary of a recorded run, plus torn variants of every straddling
-    write — but judges each recovered image structurally instead of
-    byte-wise: the Rds heap and the tree are reattached, both full
+    The crash model is {!Crash_lab}'s. Each recovered image is judged
+    structurally instead of byte-wise: the Rds heap and the tree are
+    reattached, both full
     invariant checkers run ({!Rvm_alloc.Rds.check},
     {!Rvm_pds.Pbtree.check}), and the tree's enumerated contents must
     equal some committed snapshot at least as new as the last durable
@@ -35,33 +34,21 @@ type op =
 
 val default_ops : op list
 
-type crash_point = { upto : int; torn : int option }
-
-type violation = {
-  crash : crash_point;
-  required : int;  (** snapshot index that had to survive *)
+type extras = {
   commits : int;
-  reason : string;
-}
-
-type outcome = {
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
-  commits : int;
-  durable : int;
+  durable : int;  (** snapshot index known durable at the end of the run *)
   splits : int;  (** structural coverage of the recorded run *)
   merges : int;
   borrows : int;
-  violations : violation list;
 }
+
+type outcome = extras Crash_lab.outcome
 
 val run : ?config:config -> ?ops:op list -> unit -> outcome
 (** Execute the workload, enumerate every crash point, and check each
-    recovered image. An exception escaping recovery or reattachment is
-    itself a violation. A run whose [splits] or [merges] counter is zero
-    did not cover the structural paths and should be treated as a test
-    configuration error by callers. *)
+    recovered image; an exception escaping reattachment or either
+    invariant checker is a violation too. A run whose [splits] or [merges]
+    counter is zero did not cover the structural paths and should be
+    treated as a test configuration error by callers. *)
+
+val pp_outcome : Format.formatter -> outcome -> unit

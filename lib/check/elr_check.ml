@@ -2,11 +2,7 @@ module Options = Rvm_core.Options
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
 module Rng = Rvm_util.Rng
-module Mem_device = Rvm_disk.Mem_device
-module Trace_device = Rvm_disk.Trace_device
-module Device = Rvm_disk.Device
 module Registry = Rvm_obs.Registry
-module Routing = Rvm_shard.Routing
 module Multi = Rvm_shard.Multi
 module Tpca = Rvm_workload.Tpca
 module Request = Rvm_server.Request
@@ -62,34 +58,16 @@ type ack =
   | Ack_write of { a_id : int; a_event : int }
   | Ack_read of { a_id : int; a_deps : int list; a_event : int }
 
-type crash_point = { upto : int; torn : int option }
-
-type violation = {
-  crash : crash_point;
-  reason : string;
-  tail : Registry.span_event list;
-}
-
-type outcome = {
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
+type extras = {
   commits : int;  (* write requests committed by the recorded run *)
   cross : int;  (* of which cross-shard parallel commits *)
   reads : int;  (* lookups acked by the recorded run *)
   elr_released : int;  (* elr.released_early counter of the recorded run *)
-  violations : violation list;
 }
 
+type outcome = extras Crash_lab.outcome
+
 let page_size = 4096
-
-let seg_of_shard s = s + 1
-
-let make_routing shards =
-  Routing.of_table ~shards (List.init shards (fun s -> (seg_of_shard s, s)))
 
 (* Same interleaved placement as the server harness: account i on shard
    i mod n, per-shard teller/branch/audit, segments at disjoint vaddrs. *)
@@ -102,71 +80,34 @@ let shard_layouts cfg =
       next_base := !next_base + l.Tpca.total_len + (16 * page_size);
       l)
 
+let map_layouts m layouts =
+  Array.iteri
+    (fun s (l : Tpca.layout) ->
+      ignore
+        (Multi.map m ~vaddr:l.Tpca.base ~seg:(Shard_check.seg_of_shard s)
+           ~seg_off:0 ~len:l.Tpca.total_len ()))
+    layouts
+
 let make_options () =
   (* The workloads are small enough that the log never fills; keep both
      truncation triggers quiet so every device event is commit traffic. *)
   { Options.default with Options.auto_truncate = false }
 
 (* The recorded run: a real server world — sharded engine, lock manager,
-   admission, the ELR scheduler — over recorder-wrapped memory devices,
+   admission, the ELR scheduler — over memory devices attached to [lab],
    with the scheduler hooks logging commit-spool order and the exact
    device-event index at which every ack left the server. *)
-let run_workload cfg =
+let run_workload lab cfg =
   let n = cfg.shards in
   let layouts = shard_layouts cfg in
-  let log_mems =
-    Array.init n (fun s ->
-        Mem_device.create
-          ~name:(Printf.sprintf "elr-log%d" s)
-          ~size:cfg.log_size ())
-  in
-  let seg_mems =
-    Array.init n (fun s ->
-        Mem_device.create
-          ~name:(Printf.sprintf "elr-seg%d" s)
-          ~size:(layouts.(s).Tpca.total_len + page_size)
-          ())
-  in
-  Multi.create_logs log_mems;
-  (* One recorder across every device: a crash is a cut in the global
-     write order, including the inter-shard boundaries of a parallel
-     commit's intent round. Wrap after formatting. *)
-  let recorder = Trace_device.create_recorder () in
-  let tlogs = Array.map (Trace_device.wrap recorder) log_mems in
-  let tsegs = Array.map (Trace_device.wrap recorder) seg_mems in
-  let obs = Registry.create ~trace_capacity:8192 () in
-  let seq_at = Hashtbl.create 256 in
-  let note base =
-    let note_now () =
-      Hashtbl.replace seq_at
-        (Trace_device.event_count recorder)
-        (Registry.trace_seq obs)
-    in
-    Device.layer
-      ~write:(fun b ~off ~buf ~pos ~len ->
-        note_now ();
-        b.Device.write ~off ~buf ~pos ~len)
-      ~sync:(fun b ->
-        note_now ();
-        b.Device.sync ())
-      base
-  in
   let clock = Clock.simulated () in
-  let routing = make_routing n in
-  let m =
-    Multi.initialize ~options:(make_options ()) ~clock
-      ~model:Cost_model.dec5000 ~obs ~routing
-      ~logs:(Array.map (fun t -> note (Trace_device.device t)) tlogs)
-      ~resolve:(fun seg ->
-        note (Trace_device.device tsegs.(Routing.shard_of routing ~seg)))
+  let m, logs, segs =
+    Shard_check.record lab ~options:(make_options ()) ~clock
+      ~log_size:cfg.log_size
+      ~seg_sizes:(Array.map (fun l -> l.Tpca.total_len + page_size) layouts)
       ()
   in
-  Array.iteri
-    (fun s (l : Tpca.layout) ->
-      ignore
-        (Multi.map m ~vaddr:l.Tpca.base ~seg:(seg_of_shard s) ~seg_off:0
-           ~len:l.Tpca.total_len ()))
-    layouts;
+  map_layouts m layouts;
   let pl = Placement.make ~layouts in
   let rng = Rng.create ~seed:cfg.seed in
   let gen_rng = Rng.split rng in
@@ -199,7 +140,8 @@ let run_workload cfg =
     }
   in
   let sched =
-    Scheduler.create ~cfg:scfg ~engine:(Engine.of_multi m) ~clock ~obs
+    Scheduler.create ~cfg:scfg ~engine:(Engine.of_multi m) ~clock
+      ~obs:(Crash_lab.obs lab)
       ~lock_mgr:(Rvm_layers.Lock_mgr.create ()) ~placement:pl ~admission
       ~arrivals ~gen ~rng:backoff_rng ()
   in
@@ -221,7 +163,7 @@ let run_workload cfg =
         }
         :: !spool_order)
     ~on_ack:(fun r ->
-      let e = Trace_device.event_count recorder in
+      let e = Crash_lab.event_count lab in
       let id = r.Request.spec.Request.id in
       match r.Request.spec.Request.kind with
       | Request.Lookup ->
@@ -232,110 +174,65 @@ let run_workload cfg =
         acks := Ack_write { a_id = id; a_event = e } :: !acks);
   let tally = Scheduler.run sched in
   let elr_released =
-    Rvm_obs.Counter.get (Registry.counter obs "elr.released_early")
+    Rvm_obs.Counter.get
+      (Registry.counter (Crash_lab.obs lab) "elr.released_early")
   in
-  ( recorder,
-    tlogs,
-    tsegs,
-    layouts,
-    List.rev !spool_order,
-    List.rev !acks,
-    tally,
-    elr_released,
-    obs,
-    seq_at )
+  (logs, segs, layouts, List.rev !spool_order, List.rev !acks, tally,
+   elr_released)
 
-(* Recover crashed images and read back every balance cell plus the audit
-   membership words. *)
+(* Recover a crash image set and return its memory reader. *)
+let recover layouts mount ~logs ~segs =
+  let m = Shard_check.replay ~options:(make_options ()) mount ~logs ~segs in
+  map_layouts m layouts;
+  fun addr -> Multi.get_i64 m ~addr
 
-type recovered = {
-  r_accounts : int64 array;
-  r_tellers : int64 array;  (* shard-major: shard * Tpca.tellers + t *)
-  r_branches : int64 array;
-  r_audit_word : int -> int64;  (* audit vaddr -> slot word at +24 *)
-}
-
-let recover cfg layouts ~log_imgs ~seg_imgs =
-  let n = cfg.shards in
-  let log_devs =
-    Array.mapi
-      (fun s img ->
-        Mem_device.of_bytes ~name:(Printf.sprintf "replay-log%d" s) img)
-      log_imgs
-  in
-  let seg_devs =
-    Array.mapi
-      (fun s img ->
-        Mem_device.of_bytes ~name:(Printf.sprintf "replay-seg%d" s) img)
-      seg_imgs
-  in
-  let routing = make_routing n in
-  let m =
-    Multi.reinitialize ~options:(make_options ()) ~routing ~logs:log_devs
-      ~resolve:(fun seg -> seg_devs.(Routing.shard_of routing ~seg))
-      ()
-  in
-  Array.iteri
-    (fun s (l : Tpca.layout) ->
-      ignore
-        (Multi.map m ~vaddr:l.Tpca.base ~seg:(seg_of_shard s) ~seg_off:0
-           ~len:l.Tpca.total_len ()))
-    layouts;
+(* Every balance cell as (name, address): accounts, then each shard's
+   tellers, then each shard's branches. *)
+let balance_cells cfg layouts =
   let pl = Placement.make ~layouts in
-  let word addr = Multi.get_i64 m ~addr in
-  {
-    r_accounts =
-      Array.init cfg.accounts (fun i -> word (Placement.account_addr pl i));
-    r_tellers =
-      Array.init (n * Tpca.tellers) (fun i ->
-          let s = i / Tpca.tellers and t = i mod Tpca.tellers in
-          word (Tpca.teller_addr layouts.(s) t));
-    r_branches =
-      Array.init (n * Tpca.branches) (fun i ->
-          let s = i / Tpca.branches and b = i mod Tpca.branches in
-          word (Tpca.branch_addr layouts.(s) b));
-    r_audit_word = (fun addr -> word (addr + 24));
-  }
+  let per_shard n addr =
+    List.concat
+      (List.mapi
+         (fun s l -> List.init n (fun i -> ((s * n) + i, addr l i)))
+         (Array.to_list layouts))
+  in
+  let named what =
+    List.map (fun (i, a) -> (Printf.sprintf "%s %d" what i, a))
+  in
+  named "account"
+    (List.init cfg.accounts (fun i -> (i, Placement.account_addr pl i)))
+  @ named "teller" (per_shard Tpca.tellers Tpca.teller_addr)
+  @ named "branch" (per_shard Tpca.branches Tpca.branch_addr)
 
-(* Serial reference over the recovered-membership set: per-cell additions
-   commute, so any serializable execution of exactly the set [S] lands on
-   these balances. *)
-let expected_balances cfg (survivors : spooled list) =
-  let n = cfg.shards in
-  let accounts = Array.make cfg.accounts 0L in
-  let tellers = Array.make (n * Tpca.tellers) 0L in
-  let branches = Array.make (n * Tpca.branches) 0L in
-  let add arr i d = arr.(i) <- Int64.add arr.(i) d in
+(* Serial reference over the recovered-membership set, as expected balance
+   per cell address (absent = 0): per-cell additions commute, so any
+   serializable execution of exactly the set [S] lands on these
+   balances. *)
+let expected_balances cfg layouts (survivors : spooled list) =
+  let pl = Placement.make ~layouts in
+  let cells = Hashtbl.create 64 in
+  let add addr d =
+    Hashtbl.replace cells addr
+      (Int64.add d (Option.value (Hashtbl.find_opt cells addr) ~default:0L))
+  in
   List.iter
     (fun e ->
       let s = e.sp_spec in
+      let account = Placement.account_addr pl in
       match s.Request.kind with
       | Request.Payment ->
-        let sh = s.Request.account mod n in
-        add accounts s.Request.account s.Request.delta;
-        add tellers ((sh * Tpca.tellers) + s.Request.teller) s.Request.delta;
-        add branches
-          ((sh * Tpca.branches) + (s.Request.teller mod Tpca.branches))
+        let l = layouts.(s.Request.account mod cfg.shards) in
+        add (account s.Request.account) s.Request.delta;
+        add (Tpca.teller_addr l s.Request.teller) s.Request.delta;
+        add
+          (Tpca.branch_addr l (s.Request.teller mod Tpca.branches))
           s.Request.delta
       | Request.Transfer ->
-        add accounts s.Request.account s.Request.delta;
-        add accounts s.Request.account2 (Int64.neg s.Request.delta)
+        add (account s.Request.account) s.Request.delta;
+        add (account s.Request.account2) (Int64.neg s.Request.delta)
       | Request.Lookup | Request.Ycsb _ -> ())
     survivors;
-  (accounts, tellers, branches)
-
-let first_mismatch ~what expected actual =
-  let rec go i =
-    if i >= Array.length expected then None
-    else if expected.(i) <> actual.(i) then
-      Some
-        (Printf.sprintf "%s %d: expected %Ld, recovered %Ld" what i
-           expected.(i) actual.(i))
-    else go (i + 1)
-  in
-  go 0
-
-let tail_length = 16
+  fun addr -> Option.value (Hashtbl.find_opt cells addr) ~default:0L
 
 let run ?(config = default_config) () =
   if config.shards < 1 then invalid_arg "Elr_check.run: shards must be >= 1";
@@ -344,214 +241,123 @@ let run ?(config = default_config) () =
        per-shard audit capacity (2x accounts per shard) guarantees no
        wrap-around overwrites the membership words the checks read. *)
     invalid_arg "Elr_check.run: accounts must be >= requests";
-  let ( recorder,
-        tlogs,
-        tsegs,
-        layouts,
-        spool_order,
-        acks,
-        tally,
-        elr_released,
-        obs,
-        seq_at ) =
-    run_workload config
+  let lab = Crash_lab.create () in
+  let logs, segs, layouts, spool_order, acks, tally, elr_released =
+    run_workload lab config
   in
-  let events = Trace_device.events recorder in
-  let n_events = Array.length events in
-  let spans = Array.of_list (Registry.events obs) in
-  let final_seq = Registry.trace_seq obs in
-  let first_idx = final_seq - Array.length spans in
-  let tail_before (crash : crash_point) =
-    let s =
-      if crash.upto >= n_events then final_seq
-      else Option.value (Hashtbl.find_opt seq_at crash.upto) ~default:final_seq
+  let cells = balance_cells config layouts in
+  let judge (crash : Crash_lab.crash_point) word =
+    (* Membership: a committed write survived iff its audit slot's id word
+       (24 bytes into the slot) replayed; the slot is written in the same
+       transaction as the balances, so the whole commit stands or falls
+       with it. *)
+    let survives e = word (e.sp_audit + 24) = Int64.of_int (e.sp_id + 1) in
+    let survivors = List.filter survives spool_order in
+    let in_s id =
+      List.exists (fun e -> e.sp_id = id && survives e) spool_order
     in
-    let lo = max first_idx (s - tail_length) in
-    if s <= lo then []
-    else Array.to_list (Array.sub spans (lo - first_idx) (s - lo))
-  in
-  let violations = ref [] in
-  let recoveries = ref 0 in
-  let torn_total = ref 0 in
-  let spooled_by_id =
-    let h = Hashtbl.create 64 in
-    List.iter (fun e -> Hashtbl.replace h e.sp_id e) spool_order;
-    h
-  in
-  let check crash =
-    incr recoveries;
-    let torn = crash.torn in
-    let image t = Trace_device.image t ~events ~upto:crash.upto ?torn () in
-    let log_imgs = Array.map image tlogs in
-    let seg_imgs = Array.map image tsegs in
-    let fail reason =
-      violations :=
-        { crash; reason; tail = tail_before crash } :: !violations
+    (* (a) No ack precedes durability: every write acked before the crash
+       must have been recovered, and every lookup acked before the crash
+       must only have exposed state of recovered writers. *)
+    let ack_violation () =
+      List.find_map
+        (fun a ->
+          match a with
+          | Ack_write { a_id; a_event } ->
+            if a_event <= crash.upto && not (in_s a_id) then
+              Some
+                (Printf.sprintf
+                   "write %d was acked at event %d but did not survive the \
+                    crash"
+                   a_id a_event)
+            else None
+          | Ack_read { a_id; a_deps; a_event } ->
+            if a_event > crash.upto then None
+            else
+              List.find_opt (fun w -> not (in_s w)) a_deps
+              |> Option.map (fun w ->
+                     Printf.sprintf
+                       "lookup %d was acked at event %d but observed writer \
+                        %d, which did not survive the crash"
+                       a_id a_event w))
+        acks
     in
-    match recover config layouts ~log_imgs ~seg_imgs with
-    | exception e -> fail ("recovery raised: " ^ Printexc.to_string e)
-    | rec_state -> (
-      (* Membership: a committed write survived iff its audit slot's id
-         word replayed (the slot is written in the same transaction as
-         the balances, so the whole commit stands or falls with it). *)
-      let survives e = rec_state.r_audit_word e.sp_audit = Int64.of_int (e.sp_id + 1) in
-      let survivors = List.filter survives spool_order in
-      let in_s id =
-        match Hashtbl.find_opt spooled_by_id id with
-        | Some e -> survives e
-        | None -> false
-      in
-      (* (a) No ack precedes durability: every write acked before the
-         crash must have been recovered, and every lookup acked before
-         the crash must only have exposed state of recovered writers. *)
-      let ack_violation =
-        List.find_map
-          (fun a ->
-            match a with
-            | Ack_write { a_id; a_event } ->
-              if a_event <= crash.upto && not (in_s a_id) then
+    (* (b) Prefix closure: per shard, the survivors must be a prefix of the
+       spool (= log append) order; the only legal holes are cross-shard
+       transactions, whose intents recovery may have resolved to
+       aborted. *)
+    let prefix_violation () =
+      List.find_map
+        (fun s ->
+          let rec scan seen_hole = function
+            | [] -> None
+            | e :: rest when survives e -> (
+              match seen_hole with
+              | Some h ->
                 Some
                   (Printf.sprintf
-                     "write %d was acked at event %d but did not survive \
-                      the crash"
-                     a_id a_event)
-              else None
-            | Ack_read { a_id; a_deps; a_event } ->
-              if a_event > crash.upto then None
-              else (
-                match List.find_opt (fun w -> not (in_s w)) a_deps with
-                | Some w ->
-                  Some
-                    (Printf.sprintf
-                       "lookup %d was acked at event %d but observed \
-                        writer %d, which did not survive the crash"
-                       a_id a_event w)
-                | None -> None))
-          acks
-      in
-      match ack_violation with
-      | Some reason -> fail reason
-      | None -> (
-        (* (b) Prefix closure: per shard, the survivors must be a prefix
-           of the spool (= log append) order; the only legal holes are
-           cross-shard transactions, whose intents recovery may have
-           resolved to aborted. *)
-        let prefix_violation =
-          List.find_map
-            (fun s ->
-              let proj =
-                List.filter (fun e -> List.mem s e.sp_shards) spool_order
-              in
-              let rec scan seen_hole = function
-                | [] -> None
-                | e :: rest ->
-                  if survives e then
-                    match seen_hole with
-                    | Some h ->
-                      Some
-                        (Printf.sprintf
-                           "shard %d: single-shard commit %d is missing \
-                            but later commit %d survived (hole in the \
-                            redo prefix)"
-                           s h e.sp_id)
-                    | None -> scan seen_hole rest
-                  else
-                    scan
-                      (if List.length e.sp_shards > 1 then seen_hole
-                       else (
-                         match seen_hole with
-                         | Some _ -> seen_hole
-                         | None -> Some e.sp_id))
-                      rest
-              in
-              scan None proj)
-            (List.init config.shards Fun.id)
-        in
-        match prefix_violation with
-        | Some reason -> fail reason
-        | None ->
-          (* (c) Serial equivalence: recovered balances equal the
-             commutative reference applied to exactly the survivor set —
-             early lock release must never let a successor's update
-             survive a crash its predecessor's didn't feed into. *)
-          let ea, et, eb = expected_balances config survivors in
-          let mismatch =
-            match first_mismatch ~what:"account" ea rec_state.r_accounts with
-            | Some m -> Some m
-            | None -> (
-              match first_mismatch ~what:"teller" et rec_state.r_tellers with
-              | Some m -> Some m
-              | None ->
-                first_mismatch ~what:"branch" eb rec_state.r_branches)
+                     "shard %d: single-shard commit %d is missing but later \
+                      commit %d survived (hole in the redo prefix)"
+                     s h e.sp_id)
+              | None -> scan seen_hole rest)
+            | e :: rest ->
+              scan
+                (if List.length e.sp_shards > 1 || seen_hole <> None then
+                   seen_hole
+                 else Some e.sp_id)
+                rest
           in
-          (match mismatch with
-          | Some m ->
-            fail
+          scan None (List.filter (fun e -> List.mem s e.sp_shards) spool_order))
+        (List.init config.shards Fun.id)
+    in
+    (* (c) Serial equivalence: recovered balances equal the commutative
+       reference applied to exactly the survivor set — early lock release
+       must never let a successor's update survive a crash its
+       predecessor's didn't feed into. *)
+    let balance_violation () =
+      let expected = expected_balances config layouts survivors in
+      List.find_map
+        (fun (cell, addr) ->
+          let want = expected addr and got = word addr in
+          if want = got then None
+          else
+            Some
               (Printf.sprintf
-                 "balances diverge from the %d-survivor serial reference: %s"
-                 (List.length survivors) m)
-          | None -> ())))
+                 "balances diverge from the %d-survivor serial reference: \
+                  %s: expected %Ld, recovered %Ld"
+                 (List.length survivors) cell want got))
+        cells
+    in
+    match
+      List.find_map
+        (fun check -> check ())
+        [ ack_violation; prefix_violation; balance_violation ]
+    with
+    | Some reason -> Error reason
+    | None -> Ok ()
   in
-  check { upto = 0; torn = None };
-  for k = 0 to n_events - 1 do
-    (match events.(k).Trace_device.kind with
-    | Trace_device.Write { off; data } ->
-      let len = Bytes.length data in
-      let positions =
-        Explorer.torn_positions ~sector:config.sector
-          ~exhaustive:config.exhaustive
-          ~max_per_write:config.max_torn_per_write ~off ~len
-      in
-      List.iter (fun p -> check { upto = k; torn = Some p }) positions;
-      torn_total := !torn_total + List.length positions
-    | Trace_device.Sync -> ());
-    check { upto = k + 1; torn = None }
-  done;
+  let o =
+    Crash_lab.explore lab ~sector:config.sector ~exhaustive:config.exhaustive
+      ~max_torn_per_write:config.max_torn_per_write
+      ~recover:(fun mount -> recover layouts mount ~logs ~segs)
+      ~judge ()
+  in
+  let cross =
+    List.length (List.filter (fun e -> List.length e.sp_shards > 1) spool_order)
+  in
   {
-    events = n_events;
-    writes = Trace_device.write_count recorder;
-    syncs = Trace_device.sync_count recorder;
-    boundaries = n_events + 1;
-    torn_variants = !torn_total;
-    recoveries = !recoveries;
-    commits = tally.Scheduler.committed;
-    cross =
-      List.length
-        (List.filter (fun e -> List.length e.sp_shards > 1) spool_order);
-    reads = tally.Scheduler.reads;
-    elr_released;
-    violations = List.rev !violations;
+    o with
+    extra =
+      {
+        commits = tally.Scheduler.committed;
+        cross;
+        reads = tally.Scheduler.reads;
+        elr_released;
+      };
   }
 
-(* --- reporting --- *)
-
-let pp_crash_point ppf { upto; torn } =
-  match torn with
-  | None -> Format.fprintf ppf "after event %d" upto
-  | Some keep -> Format.fprintf ppf "event %d torn after %d byte(s)" upto keep
-
-let pp_violation ppf v =
-  Format.fprintf ppf "@[<v 2>violation at crash point %a:@ %s" pp_crash_point
-    v.crash v.reason;
-  (match v.tail with
-  | [] -> ()
-  | tail ->
-    Format.fprintf ppf "@ flight recorder (last %d span(s) before the crash):"
-      (List.length tail);
-    List.iter
-      (fun ev -> Format.fprintf ppf "@   %a" Rvm_obs.Trace.pp_span ev)
-      tail);
-  Format.fprintf ppf "@]"
-
-let summary o =
-  Printf.sprintf
-    "%d commits (%d cross-shard, %d early releases) + %d snapshot reads -> \
-     %d device events (%d writes, %d syncs); %d crash boundaries + %d torn \
-     variants = %d recoveries; %d violation(s)"
-    o.commits o.cross o.elr_released o.reads o.events o.writes o.syncs
-    o.boundaries o.torn_variants o.recoveries
-    (List.length o.violations)
-
-let pp_outcome ppf o =
-  Format.fprintf ppf "%s@." (summary o);
-  List.iter (fun v -> Format.fprintf ppf "%a@." pp_violation v) o.violations
+let pp_outcome =
+  Crash_lab.pp_outcome (fun ppf x ->
+      Format.fprintf ppf
+        "%d commits (%d cross-shard, %d early releases) + %d snapshot reads"
+        x.commits x.cross x.elr_released x.reads)

@@ -3,7 +3,7 @@
     The recorded run is a {e real server world} — the sharded engine
     behind {!Rvm_server.Engine}, the lock manager, admission control and
     the ELR scheduler — driving a seeded TPC-A mix (payments, transfers,
-    lookups) over recorder-wrapped memory devices. Scheduler hooks log
+    lookups) over devices recorded by a {!Crash_lab}. Scheduler hooks log
     two orders the checks need:
 
     - {e commit-spool order}: each write request the moment its commit
@@ -14,8 +14,7 @@
       together with the writer ids whose early-released state they
       observed.
 
-    Then every crash point (each boundary in the global device-write
-    order, plus torn variants of every write) is replayed through
+    Then every crash point of the {!Crash_lab} model is replayed through
     recovery and checked:
 
     + {b No ack precedes durability} — a write acked before the crash
@@ -62,30 +61,14 @@ val default_config : config
     30% transfers — small enough to explore in well under a second,
     contended enough to exercise stamps, dependencies and parked reads. *)
 
-type crash_point = { upto : int; torn : int option }
-
-type violation = {
-  crash : crash_point;
-  reason : string;
-  tail : Rvm_obs.Registry.span_event list;  (** flight-recorder tail *)
-}
-
-type outcome = {
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
+type extras = {
   commits : int;  (** write requests committed by the recorded run *)
   cross : int;  (** of which cross-shard parallel commits *)
   reads : int;  (** lookups acked by the recorded run *)
   elr_released : int;  (** early releases the recorded run performed *)
-  violations : violation list;
 }
 
-val run : ?config:config -> unit -> outcome
+type outcome = extras Crash_lab.outcome
 
-val pp_violation : Format.formatter -> violation -> unit
-val summary : outcome -> string
+val run : ?config:config -> unit -> outcome
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -1,8 +1,5 @@
 open Rvm_core
 module Mem_device = Rvm_disk.Mem_device
-module Trace_device = Rvm_disk.Trace_device
-module Device = Rvm_disk.Device
-module Registry = Rvm_obs.Registry
 
 type config = {
   region_len : int;
@@ -27,16 +24,6 @@ let default_config =
     mid_truncation = false;
   }
 
-type crash_point = { upto : int; torn : int option }
-
-type violation = {
-  crash : crash_point;
-  required : int;
-  commits : int;
-  reason : string;
-  tail : Registry.span_event list;
-}
-
 type write_point = {
   event : int;
   dev : string;
@@ -45,111 +32,26 @@ type write_point = {
   variants : int;
 }
 
-type outcome = {
-  ops : Workload.op list;
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
-  commits : int;
-  durable : int;
-  write_points : write_point list;
-  violations : violation list;
-}
+type extras = { commits : int; durable : int; write_points : write_point list }
+type outcome = extras Crash_lab.outcome
 
-(* Torn prefixes for a write of [len] bytes at device offset [off]. A write
-   that does not cross an aligned sector boundary is atomic. *)
-let torn_positions ~sector ~exhaustive ~max_per_write ~off ~len =
-  let first_boundary = ((off / sector) + 1) * sector in
-  if off + len <= first_boundary then []
-  else begin
-    (* Interior sector boundaries, as write-relative positions. *)
-    let bounds = ref [] in
-    let b = ref first_boundary in
-    while !b < off + len do
-      bounds := (!b - off) :: !bounds;
-      b := !b + sector
-    done;
-    let bounds = List.rev !bounds in
-    (* Top up small straddling writes so every tearable write of >= 5
-       bytes gets at least 4 variants. *)
-    let extra =
-      if List.length bounds >= 4 then []
-      else
-        List.filter
-          (fun p -> p > 0 && p < len)
-          (List.init 4 (fun i -> len * (i + 1) / 5))
-    in
-    let all = List.sort_uniq compare (bounds @ extra) in
-    let cap = max 2 max_per_write in
-    if exhaustive || List.length all <= cap then all
-    else begin
-      (* Evenly subsample down to the cap. *)
-      let arr = Array.of_list all in
-      let n = Array.length arr in
-      List.sort_uniq compare
-        (List.init cap (fun i -> arr.(i * (n - 1) / (cap - 1))))
-    end
-  end
+let engine_options ~truncation_mode ~group_commit ~mid_truncation =
+  {
+    Options.default with
+    Options.truncation_mode;
+    (* Mid-truncation exploration needs the truncator due after the
+       first couple of commits so [Step] ops actually advance a run. *)
+    truncation_threshold = (if mid_truncation then 0.05 else 0.4);
+    group_commit;
+    (* Mid-truncation exploration drives the truncator from [Step] ops
+       and needs the run left suspended between them, so the inline
+       commit-path trigger (which would run it to completion) is off. *)
+    auto_truncate = not mid_truncation;
+  }
 
-(* Run the workload against traced devices, returning the trace handles,
-   the reference model and the durability checkpoints
-   [(events_recorded, commits_durable)]. *)
-let run_workload config ops =
-  let log_mem =
-    Mem_device.create ~name:"check-log" ~size:config.log_size ()
-  in
-  let seg_mem =
-    Mem_device.create ~name:"check-seg" ~size:config.region_len ()
-  in
-  Rvm.create_log log_mem;
-  (* Wrap after formatting: crash point zero is the freshly formatted,
-     empty state, which must recover to the blank region. *)
-  let recorder = Trace_device.create_recorder () in
-  let tlog = Trace_device.wrap recorder log_mem in
-  let tseg = Trace_device.wrap recorder seg_mem in
-  (* The workload runs with its flight recorder on, and [seq_at] maps each
-     device event index to the engine-span cursor when that event was
-     issued — so a violation at any crash point can be reported together
-     with the spans the engine finished just before the crashed write. *)
-  let obs = Registry.create ~trace_capacity:8192 () in
-  let seq_at = Hashtbl.create 256 in
-  let note base =
-    let note_now () =
-      Hashtbl.replace seq_at
-        (Trace_device.event_count recorder)
-        (Registry.trace_seq obs)
-    in
-    Device.layer
-      ~write:(fun b ~off ~buf ~pos ~len ->
-        note_now ();
-        b.Device.write ~off ~buf ~pos ~len)
-      ~sync:(fun b ->
-        note_now ();
-        b.Device.sync ())
-      base
-  in
-  let options =
-    {
-      Options.default with
-      Options.truncation_mode = config.truncation_mode;
-      (* Mid-truncation exploration needs the truncator due after the
-         first couple of commits so [Step] ops actually advance a run. *)
-      truncation_threshold = (if config.mid_truncation then 0.05 else 0.4);
-      group_commit = config.group_commit;
-      (* Mid-truncation exploration drives the truncator from [Step] ops
-         and needs the run left suspended between them, so the inline
-         commit-path trigger (which would run it to completion) is off. *)
-      auto_truncate = not config.mid_truncation;
-    }
-  in
-  let rvm =
-    Rvm.reinitialize ~options ~obs ~log:(note (Trace_device.device tlog))
-      ~resolve:(fun _ -> note (Trace_device.device tseg))
-      ()
-  in
+(* Run the workload, returning the reference model and the durability
+   checkpoints [(events_recorded, commits_durable)]. *)
+let run_workload lab rvm config ops =
   let region = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:config.region_len () in
   let base = region.Region.vaddr in
   let model = Model.create ~region_len:config.region_len in
@@ -157,8 +59,7 @@ let run_workload config ops =
   let note_durable () =
     Model.mark_durable model;
     checkpoints :=
-      (Trace_device.event_count recorder, Model.durable_count model)
-      :: !checkpoints
+      (Crash_lab.event_count lab, Model.durable_count model) :: !checkpoints
   in
   List.iter
     (fun op ->
@@ -197,130 +98,71 @@ let run_workload config ops =
           ignore (Rvm.truncation_step rvm)
         done)
     ops;
-  (recorder, tlog, tseg, model, !checkpoints, obs, seq_at)
-
-(* Mount the two reconstructed images, run recovery, and read back the
-   region bytes. *)
-let recover_image config ~log_img ~seg_img =
-  let log_dev = Mem_device.of_bytes ~name:"check-replay-log" log_img in
-  let seg_dev = Mem_device.of_bytes ~name:"check-replay-seg" seg_img in
-  let options =
-    {
-      Options.default with
-      Options.truncation_mode = config.truncation_mode;
-      truncation_threshold = (if config.mid_truncation then 0.05 else 0.4);
-      group_commit = config.group_commit;
-      auto_truncate = not config.mid_truncation;
-    }
-  in
-  let rvm =
-    Rvm.reinitialize ~options ~log:log_dev ~resolve:(fun _ -> seg_dev) ()
-  in
-  let region = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:config.region_len () in
-  Rvm.load rvm ~addr:region.Region.vaddr ~len:config.region_len
-
-let tail_length = 16
+  (model, !checkpoints)
 
 let run ?(config = default_config) ops =
-  if config.sector <= 0 then invalid_arg "Explorer.run: sector must be positive";
-  let recorder, tlog, tseg, model, checkpoints, obs, seq_at =
-    run_workload config ops
+  let options =
+    engine_options ~truncation_mode:config.truncation_mode
+      ~group_commit:config.group_commit ~mid_truncation:config.mid_truncation
   in
-  let events = Trace_device.events recorder in
-  let n = Array.length events in
-  let required_at k =
-    List.fold_left
-      (fun acc (e, d) -> if e <= k then max acc d else acc)
-      0 checkpoints
+  let lab = Crash_lab.create () in
+  let log_mem = Mem_device.create ~name:"check-log" ~size:config.log_size () in
+  let seg_mem =
+    Mem_device.create ~name:"check-seg" ~size:config.region_len ()
   in
-  (* Flight-recorder tail: the last [tail_length] spans the engine closed
-     before the crash point's device event was issued. The workload is
-     over, so the span set is final. *)
-  let spans = Array.of_list (Registry.events obs) in
-  let final_seq = Registry.trace_seq obs in
-  let first_idx = final_seq - Array.length spans in
-  let tail_before (crash : crash_point) =
-    let s =
-      if crash.upto >= n then final_seq
-      else Option.value (Hashtbl.find_opt seq_at crash.upto) ~default:final_seq
-    in
-    let lo = max first_idx (s - tail_length) in
-    if s <= lo then []
-    else Array.to_list (Array.sub spans (lo - first_idx) (s - lo))
+  Rvm.create_log log_mem;
+  (* Attach after formatting: crash point zero is the freshly formatted,
+     empty state, which must recover to the blank region. *)
+  let log = Crash_lab.attach lab log_mem in
+  let seg = Crash_lab.attach lab seg_mem in
+  let rvm =
+    Rvm.reinitialize ~options ~obs:(Crash_lab.obs lab)
+      ~log:(Crash_lab.device log)
+      ~resolve:(fun _ -> Crash_lab.device seg)
+      ()
   in
+  let model, checkpoints = run_workload lab rvm config ops in
+  (* Checkpoints only grow, so the newest one at or before [k] holds. *)
+  let required_at k = snd (List.find (fun (e, _) -> e <= k) checkpoints) in
   let commits = Model.commit_count model in
-  let violations = ref [] in
-  let recoveries = ref 0 in
-  let torn_total = ref 0 in
   let write_points = ref [] in
-  let check crash =
-    incr recoveries;
-    let torn = crash.torn in
-    let log_img =
-      Trace_device.image tlog ~events ~upto:crash.upto ?torn ()
-    in
-    let seg_img =
-      Trace_device.image tseg ~events ~upto:crash.upto ?torn ()
-    in
-    let required = required_at crash.upto in
-    match recover_image config ~log_img ~seg_img with
-    | exception e ->
-      violations :=
-        {
-          crash;
-          required;
-          commits;
-          reason = "recovery raised: " ^ Printexc.to_string e;
-          tail = tail_before crash;
-        }
-        :: !violations
-    | recovered -> (
-      match Model.matching_prefix model ~min:required recovered with
-      | Some _ -> ()
-      | None ->
-        violations :=
-          {
-            crash;
-            required;
-            commits;
-            reason = Model.describe_mismatch model ~min:required recovered;
-            tail = tail_before crash;
-          }
-          :: !violations)
+  let o =
+    Crash_lab.explore lab ~sector:config.sector ~exhaustive:config.exhaustive
+      ~max_torn_per_write:config.max_torn_per_write
+      ~on_write:(fun ~event d ~off ~len ~variants ->
+        let dev = if d == log then "log" else "seg" in
+        write_points := { event; dev; off; len; variants } :: !write_points)
+      ~recover:(fun mount ->
+        let rvm =
+          Rvm.reinitialize ~options ~log:(mount log)
+            ~resolve:(fun _ -> mount seg)
+            ()
+        in
+        let r = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:config.region_len () in
+        Rvm.load rvm ~addr:r.Region.vaddr ~len:config.region_len)
+      ~judge:(fun crash recovered ->
+        let required = required_at crash.Crash_lab.upto in
+        match Model.matching_prefix model ~min:required recovered with
+        | Some _ -> Ok ()
+        | None ->
+          Error
+            (Printf.sprintf "%s (required %d of %d commits durable)"
+               (Model.describe_mismatch model ~min:required recovered)
+               required commits))
+      ()
   in
-  check { upto = 0; torn = None };
-  for k = 0 to n - 1 do
-    (match events.(k).Trace_device.kind with
-    | Trace_device.Write { off; data } ->
-      let len = Bytes.length data in
-      let positions =
-        torn_positions ~sector:config.sector ~exhaustive:config.exhaustive
-          ~max_per_write:config.max_torn_per_write ~off ~len
-      in
-      List.iter (fun p -> check { upto = k; torn = Some p }) positions;
-      let dev =
-        if events.(k).Trace_device.dev_id = Trace_device.dev_id tlog then
-          "log"
-        else "seg"
-      in
-      let variants = List.length positions in
-      torn_total := !torn_total + variants;
-      write_points := { event = k; dev; off; len; variants } :: !write_points
-    | Trace_device.Sync -> ());
-    check { upto = k + 1; torn = None }
-  done;
   {
-    ops;
-    events = n;
-    writes = Trace_device.write_count recorder;
-    syncs = Trace_device.sync_count recorder;
-    boundaries = n + 1;
-    torn_variants = !torn_total;
-    recoveries = !recoveries;
-    commits;
-    durable = Model.durable_count model;
-    write_points = List.rev !write_points;
-    violations = List.rev !violations;
+    o with
+    extra =
+      {
+        commits;
+        durable = Model.durable_count model;
+        write_points = List.rev !write_points;
+      };
   }
 
 let violates ?config ops = (run ?config ops).violations <> []
+
+let pp_outcome =
+  Crash_lab.pp_outcome (fun ppf x ->
+      Format.fprintf ppf "%d commits (%d known durable)" x.commits x.durable)

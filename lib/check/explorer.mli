@@ -1,20 +1,13 @@
-(** Deterministic crash-point explorer.
+(** Deterministic crash-point explorer for the single-log engine.
 
-    Runs a scripted workload against trace-recording devices
-    ({!Rvm_disk.Trace_device}), then systematically re-crashes it: for
-    {e every} boundary in the recorded write/sync sequence — and for torn
-    variants of the straddling write — it reconstructs the durable disk
-    images, re-runs [Rvm.reinitialize] recovery on them, and checks the
-    recovered region bytes against the pure {!Model}. One run of the
-    workload yields hundreds of checked crash scenarios, turning the
-    randomized property of [test/test_props.ml] into an exhaustive sweep.
-
-    Crash model: writes reach the platter in issue order (no reordering),
-    so a crash preserves a prefix of the event sequence plus at most a
-    torn fragment of the next write. A write contained in a single aligned
-    hardware sector is atomic — the contract the 512-byte status block is
-    designed around — while larger writes may tear at any byte (strictly
-    conservative: covers sector boundaries and mid-sector power loss). *)
+    Runs a scripted workload against devices recorded by a {!Crash_lab},
+    which re-crashes it at every crash point of its model. Each crash
+    image set is recovered with [Rvm.reinitialize] and the recovered
+    region bytes are checked against the pure {!Model}: they must equal
+    the state after some prefix of the commits, at least every commit
+    known durable at the crash point. One run of the workload yields
+    hundreds of checked crash scenarios, turning the randomized property
+    of [test/test_props.ml] into an exhaustive sweep. *)
 
 type config = {
   region_len : int;  (** bytes of segment 1 mapped by the workload *)
@@ -38,58 +31,36 @@ type config = {
 
 val default_config : config
 
-type crash_point = {
-  upto : int;  (** events fully on disk *)
-  torn : int option;  (** bytes kept of event [upto], if torn *)
-}
-
-type violation = {
-  crash : crash_point;
-  required : int;  (** commits that had to survive *)
-  commits : int;  (** commits issued before the crash enumeration *)
-  reason : string;
-  tail : Rvm_obs.Registry.span_event list;
-      (** flight-recorder tail: the last spans (up to 16) the engine
-          closed before the crashed device event was issued — what the
-          engine was doing when the injected crash hit *)
-}
+val engine_options :
+  truncation_mode:Rvm_core.Types.truncation_mode ->
+  group_commit:bool ->
+  mid_truncation:bool ->
+  Rvm_core.Options.t
+(** Engine options of an explored run, also used to recover its crash
+    images; {!Shard_check} uses them for every shard. [mid_truncation]
+    lowers the truncation threshold and turns off the inline trigger. *)
 
 type write_point = {
   event : int;
-  dev : string;
+  dev : string;  (** ["log"] or ["seg"] *)
   off : int;
   len : int;
   variants : int;  (** torn variants enumerated for this write *)
 }
 
-type outcome = {
-  ops : Workload.op list;
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;  (** crash points at event boundaries (events + 1) *)
-  torn_variants : int;
-  recoveries : int;  (** total images reconstructed and recovered *)
+type extras = {
   commits : int;
   durable : int;
   write_points : write_point list;  (** one per write event, oldest first *)
-  violations : violation list;
 }
 
-val torn_positions :
-  sector:int -> exhaustive:bool -> max_per_write:int -> off:int -> len:int ->
-  int list
-(** Admissible torn prefixes (bytes kept, exclusive of 0 and [len]) for a
-    write of [len] bytes at device offset [off]. Empty when the write fits
-    in one aligned sector (atomic). Otherwise every interior sector
-    boundary, topped up with evenly spaced interior positions so that any
-    tearable write of at least 5 bytes gets at least 4 variants; capped at
-    [max_per_write] (evenly subsampled) unless [exhaustive]. *)
+type outcome = extras Crash_lab.outcome
 
 val run : ?config:config -> Workload.op list -> outcome
 (** Execute the workload, enumerate every crash point, and check each
-    recovered image. An exception escaping recovery is itself reported as
-    a violation (recovery must never crash on a reachable disk image). *)
+    recovered image. *)
 
 val violates : ?config:config -> Workload.op list -> bool
 (** [run] and test for any violation — the predicate the shrinker reruns. *)
+
+val pp_outcome : Format.formatter -> outcome -> unit

@@ -5,11 +5,10 @@
     axis: a crash can land {e between} one shard's force and another's in
     the middle of a parallel-commit round, leaving the cross-shard
     transaction's evidence — per-shard intent records plus the staged
-    record on the coordinator — partially durable. This explorer drives N
-    log and N segment devices through one shared {!Rvm_disk.Trace_device}
-    recorder, so crash points are boundaries in the {e global} write/sync
-    order and the inter-shard boundaries of the commit round are enumerated
-    exhaustively (plus torn variants of every straddling write).
+    record on the coordinator — partially durable. All N log and N segment
+    devices are recorded by one {!Crash_lab}, whose crash points are
+    boundaries in the {e global} write/sync order, so the inter-shard
+    boundaries of every commit round are crash points.
 
     Each reconstructed image set is recovered with
     {!Rvm_shard.Multi.reinitialize} — which runs the cross-shard
@@ -75,36 +74,42 @@ val generate :
 val to_string : op list -> string
 val op_to_string : op -> string
 
-type crash_point = { upto : int; torn : int option }
+(** {1 Sharded engines over recorded devices}
 
-type violation = {
-  crash : crash_point;
-  reason : string;
-  tail : Rvm_obs.Registry.span_event list;
-      (** flight-recorder tail: the last spans closed before the crashed
-          device event was issued *)
-}
+    Shared with {!Elr_check}. Shard [s] owns segment [seg_of_shard s]. *)
 
-type outcome = {
-  ops : op list;
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
+val seg_of_shard : int -> int
+
+val record :
+  Crash_lab.lab ->
+  options:Rvm_core.Options.t ->
+  ?clock:Rvm_util.Clock.t ->
+  log_size:int ->
+  seg_sizes:int array ->
+  unit ->
+  Rvm_shard.Multi.t * Crash_lab.dev array * Crash_lab.dev array
+(** One shard per entry of [seg_sizes]: format the logs, attach every log
+    and segment device, and open the engine over them with the lab's
+    registry. Returns the engine, the logs and the segments. *)
+
+val replay :
+  options:Rvm_core.Options.t ->
+  (Crash_lab.dev -> Rvm_disk.Device.t) ->
+  logs:Crash_lab.dev array ->
+  segs:Crash_lab.dev array ->
+  Rvm_shard.Multi.t
+(** Recover a crash image set, mounted by {!Crash_lab.explore}'s
+    argument; cross-shard status resolution runs before any replay. *)
+
+(** {1 Exploration} *)
+
+type extras = {
   commits : int;  (** commit entries summed across shards *)
   cross : int;  (** cross-shard transactions issued *)
-  violations : violation list;
 }
+
+type outcome = extras Crash_lab.outcome
 
 val run : ?config:config -> op list -> outcome
 val violates : ?config:config -> op list -> bool
-
-val minimize : check:(op list -> bool) -> op list -> op list
-(** Greedy whole-op delta debugging (no range surgery — which shards an
-    op touches is usually the essence of a sharded counterexample). *)
-
-val pp_violation : Format.formatter -> violation -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
-val summary : outcome -> string

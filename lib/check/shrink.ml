@@ -2,29 +2,27 @@
 let splice ops i subst =
   List.concat (List.mapi (fun j op -> if j = i then subst else [ op ]) ops)
 
-(* One pass of a transformation over op positions: at each position, try
-   the candidates in order and keep the first that still violates. *)
-let pass ~check ~candidates ops =
-  let rec go i ops =
+let minimize ~candidates ~check ops =
+  (* One pass over op positions: at each, keep the first candidate that
+     still violates; after a drop, revisit the same position. *)
+  let rec pass i ops =
     if i >= List.length ops then ops
-    else begin
-      let op = List.nth ops i in
-      let rec try_cands = function
-        | [] -> go (i + 1) ops
-        | subst :: rest ->
-          let ops' = splice ops i subst in
-          if check ops' then
-            (* The list may have shrunk; revisit position [i]. *)
-            go (if subst = [] then i else i + 1) ops'
-          else try_cands rest
-      in
-      try_cands (candidates op)
-    end
+    else
+      match
+        List.find_opt
+          (fun subst -> check (splice ops i subst))
+          (candidates (List.nth ops i))
+      with
+      | None -> pass (i + 1) ops
+      | Some subst -> pass (if subst = [] then i else i + 1) (splice ops i subst)
   in
-  go 0 ops
+  let rec fix ops =
+    let ops' = pass 0 ops in
+    if ops' = ops then ops else fix ops'
+  in
+  fix ops
 
-(* Candidates that drop the whole op. *)
-let drop_op _op = [ [] ]
+let drop _op = [ [] ]
 
 (* Candidates that drop one range of a commit/abort. *)
 let drop_ranges op =
@@ -61,14 +59,4 @@ let shrink_lens op =
   | Workload.Abort ranges -> variants ranges (fun rs -> Workload.Abort rs)
   | _ -> []
 
-let minimize ~check ops =
-  let step ops =
-    let ops = pass ~check ~candidates:drop_op ops in
-    let ops = pass ~check ~candidates:drop_ranges ops in
-    pass ~check ~candidates:shrink_lens ops
-  in
-  let rec fix ops =
-    let ops' = step ops in
-    if ops' = ops then ops else fix ops'
-  in
-  fix ops
+let workload op = drop op @ drop_ranges op @ shrink_lens op

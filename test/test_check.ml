@@ -14,7 +14,7 @@ module Explorer = Rvm_check.Explorer
 module Workload = Rvm_check.Workload
 module Shrink = Rvm_check.Shrink
 module Model = Rvm_check.Model
-module Report = Rvm_check.Report
+module Crash_lab = Rvm_check.Crash_lab
 module Record = Rvm_log.Record
 module Rng = Rvm_util.Rng
 
@@ -37,8 +37,8 @@ let gen ~seed ~ops =
     ~ops ~region_len:Explorer.default_config.Explorer.region_len ()
 
 let assert_clean outcome =
-  if outcome.Explorer.violations <> [] then
-    Alcotest.failf "explorer found violations:@.%s" (Report.summary outcome)
+  if outcome.Crash_lab.violations <> [] then
+    Alcotest.failf "explorer found violations:@.%a" Explorer.pp_outcome outcome
 
 let test_honest_epoch () =
   List.iter
@@ -47,7 +47,7 @@ let test_honest_epoch () =
       let outcome = Explorer.run ~config:(config ()) ops in
       assert_clean outcome;
       check_bool "explored torn variants" true
-        (outcome.Explorer.torn_variants > 0))
+        (outcome.Crash_lab.torn_variants > 0))
     [ 1L; 2L; 3L; 4L; 5L ]
 
 let test_honest_incremental () =
@@ -83,9 +83,9 @@ let test_honest_group_commit () =
       assert_clean through;
       check_bool
         (Printf.sprintf "buffered %d writes < write-through %d"
-           buffered.Explorer.writes through.Explorer.writes)
+           buffered.Crash_lab.writes through.Crash_lab.writes)
         true
-        (buffered.Explorer.writes <= through.Explorer.writes))
+        (buffered.Crash_lab.writes <= through.Crash_lab.writes))
     [ 11L; 12L ]
 
 (* Mid-truncation exploration: workloads carry [Step] ops that advance the
@@ -120,7 +120,7 @@ let test_honest_mid_truncation () =
       check_bool "truncation steps wrote segment pages" true
         (List.exists
            (fun (w : Explorer.write_point) -> w.Explorer.dev = "seg")
-           o.Explorer.write_points))
+           o.Crash_lab.extra.Explorer.write_points))
     [
       (Types.Epoch, 3L);
       (Types.Epoch, 5L);
@@ -165,7 +165,7 @@ let test_mid_truncation_interleaved_commits () =
       check_bool "steps performed segment writes" true
         (List.exists
            (fun (w : Explorer.write_point) -> w.Explorer.dev = "seg")
-           o.Explorer.write_points))
+           o.Crash_lab.extra.Explorer.write_points))
     [ Types.Epoch; Types.Incremental ]
 
 (* Acceptance: for a 20-op generated workload the explorer enumerates every
@@ -175,10 +175,10 @@ let test_enumeration_coverage () =
   let cfg = config () in
   let ops = gen ~seed:1L ~ops:20 in
   let o = Explorer.run ~config:cfg ops in
-  check_int "one crash point per event boundary" (o.Explorer.events + 1)
-    o.Explorer.boundaries;
-  check_int "every write event accounted for" o.Explorer.writes
-    (List.length o.Explorer.write_points);
+  check_int "one crash point per event boundary" (o.Crash_lab.events + 1)
+    o.Crash_lab.boundaries;
+  check_int "every write event accounted for" o.Crash_lab.writes
+    (List.length o.Crash_lab.extra.Explorer.write_points);
   let straddling = ref 0 in
   List.iter
     (fun (w : Explorer.write_point) ->
@@ -193,15 +193,17 @@ let test_enumeration_coverage () =
       end
       else if not straddles then
         check_int "single-sector writes are atomic" 0 w.Explorer.variants)
-    o.Explorer.write_points;
+    o.Crash_lab.extra.Explorer.write_points;
   check_bool "workload produced straddling writes" true (!straddling > 0);
-  check_int "torn variants sum over writes" o.Explorer.torn_variants
+  check_int "torn variants sum over writes" o.Crash_lab.torn_variants
     (List.fold_left
        (fun a (w : Explorer.write_point) -> a + w.Explorer.variants)
-       0 o.Explorer.write_points)
+       0 o.Crash_lab.extra.Explorer.write_points)
 
 let test_torn_positions () =
-  let pos = Explorer.torn_positions ~sector:512 ~exhaustive:true ~max_per_write:12 in
+  let pos =
+    Crash_lab.torn_positions ~sector:512 ~exhaustive:true ~max_per_write:12
+  in
   check_int "aligned single sector is atomic" 0
     (List.length (pos ~off:0 ~len:512));
   check_int "unaligned but within one sector is atomic" 0
@@ -216,7 +218,7 @@ let test_torn_positions () =
     (List.mem 512 p && List.mem 1024 p);
   (* Capping keeps at least 4 and stays sorted/unique. *)
   let capped =
-    Explorer.torn_positions ~sector:16 ~exhaustive:false ~max_per_write:6
+    Crash_lab.torn_positions ~sector:16 ~exhaustive:false ~max_per_write:6
       ~off:0 ~len:1024
   in
   check_bool "capped size" true (List.length capped <= 6);
@@ -243,8 +245,10 @@ let test_model_prefixes () =
     (Model.matching_prefix m ~min:0 img)
 
 (* Seed a deliberate recovery bug — decode accepting unverified (torn)
-   records — and demonstrate that the explorer catches it and the shrinker
-   produces a small counterexample. *)
+   records — and demonstrate that every world's explorer catches it, that
+   the violations carry flight-recorder tails, and that the shrinker
+   produces a small single-log counterexample. The same configs explored
+   on the real implementation are clean. *)
 let test_mutation_detected () =
   (* 64-byte sectors so the ~300-byte commit records straddle and get torn
      inside their range data, where skipped verification turns a vanishing
@@ -257,13 +261,57 @@ let test_mutation_detected () =
       Workload.Commit { ranges = [ (32, 200, 'C') ]; mode = Types.Flush };
     ]
   in
-  (* The real implementation passes this workload... *)
-  assert_clean (Explorer.run ~config:cfg ops);
+  let module Sc = Rvm_check.Shard_check in
+  let module Ec = Rvm_check.Elr_check in
+  let module Bc = Rvm_check.Btree_check in
+  let sharded_ops =
+    [
+      Sc.Cross
+        {
+          parts = [ (0, [ (0, 200, 'A') ]); (1, [ (0, 200, 'B') ]) ];
+          mode = Types.Flush;
+        };
+      Sc.Local { shard = 1; ranges = [ (300, 200, 'E') ]; mode = Types.Flush };
+    ]
+  in
+  let worlds =
+    [
+      ("single-log", fun () -> (Explorer.run ~config:cfg ops).violations);
+      ( "sharded",
+        fun () ->
+          (Sc.run ~config:{ Sc.default_config with Sc.sector = 64 } sharded_ops)
+            .violations );
+      ( "elr",
+        fun () ->
+          (Ec.run ~config:{ Ec.default_config with Ec.sector = 64 } ())
+            .violations );
+      ( "btree",
+        fun () ->
+          (Bc.run ~config:{ Bc.default_config with Bc.sector = 64 } ())
+            .violations );
+    ]
+  in
+  (* The real implementation passes every world's config... *)
+  List.iter
+    (fun (name, run) ->
+      check_int (name ^ ": clean run") 0 (List.length (run ())))
+    worlds;
   Record.with_unverified (fun () ->
       (* ... and the mutant does not. *)
-      let o = Explorer.run ~config:cfg ops in
-      check_bool "mutation detected" true (o.Explorer.violations <> []);
-      let shrunk = Shrink.minimize ~check:(Explorer.violates ~config:cfg) ops in
+      let found =
+        List.map
+          (fun (name, run) ->
+            let vs = run () in
+            check_bool (name ^ ": mutation detected") true (vs <> []);
+            vs)
+          worlds
+      in
+      check_bool "a violation carries a flight-recorder tail" true
+        (List.exists (List.exists (fun v -> v.Crash_lab.tail <> [])) found);
+      let shrunk =
+        Shrink.minimize ~candidates:Shrink.workload
+          ~check:(Explorer.violates ~config:cfg) ops
+      in
       check_bool "shrunk workload still violates" true
         (Explorer.violates ~config:cfg shrunk);
       check_bool
@@ -287,26 +335,26 @@ let test_violation_tail () =
   in
   Record.with_unverified (fun () ->
       let o = Explorer.run ~config:cfg ops in
-      check_bool "violations found" true (o.Explorer.violations <> []);
+      check_bool "violations found" true (o.Crash_lab.violations <> []);
       check_bool "a violation carries a full 16-span tail" true
         (List.exists
-           (fun v -> List.length v.Explorer.tail >= 16)
-           o.Explorer.violations);
+           (fun v -> List.length v.Crash_lab.tail >= 16)
+           o.Crash_lab.violations);
       let v =
         List.hd
           (List.sort
              (fun a b ->
-               compare (List.length b.Explorer.tail)
-                 (List.length a.Explorer.tail))
-             o.Explorer.violations)
+               compare (List.length b.Crash_lab.tail)
+                 (List.length a.Crash_lab.tail))
+             o.Crash_lab.violations)
       in
       (* Tail spans come from the engine run that produced the crash
          image: commit spans for the workload's transactions. *)
       check_bool "tail includes engine spans" true
         (List.exists
            (fun s -> s.Rvm_obs.Trace.scope = "txn.commit")
-           v.Explorer.tail);
-      let rendered = Format.asprintf "%a" Report.pp_violation v in
+           v.Crash_lab.tail);
+      let rendered = Format.asprintf "%a" Crash_lab.pp_violation v in
       let contains needle =
         let nl = String.length needle and hl = String.length rendered in
         let rec go i =
@@ -324,12 +372,13 @@ let test_deterministic () =
   let ops = gen ~seed:9L ~ops:15 in
   let o1 = Explorer.run ~config:(config ()) ops
   and o2 = Explorer.run ~config:(config ()) ops in
-  check_int "events" o1.Explorer.events o2.Explorer.events;
-  check_int "boundaries" o1.Explorer.boundaries o2.Explorer.boundaries;
-  check_int "torn variants" o1.Explorer.torn_variants o2.Explorer.torn_variants;
-  check_int "recoveries" o1.Explorer.recoveries o2.Explorer.recoveries;
+  check_int "events" o1.Crash_lab.events o2.Crash_lab.events;
+  check_int "boundaries" o1.Crash_lab.boundaries o2.Crash_lab.boundaries;
+  check_int "torn variants" o1.Crash_lab.torn_variants
+    o2.Crash_lab.torn_variants;
+  check_int "recoveries" o1.Crash_lab.recoveries o2.Crash_lab.recoveries;
   check_int "violations" 0
-    (List.length o1.Explorer.violations + List.length o2.Explorer.violations)
+    (List.length o1.Crash_lab.violations + List.length o2.Crash_lab.violations)
 
 (* The explorer's correctness rests on the recorded trace being a function
    of the workload alone. Interposing extra combinator layers (a stats
@@ -381,30 +430,31 @@ module Btree_check = Rvm_check.Btree_check
 
 let test_btree_clean_and_covered () =
   let o = Btree_check.run () in
-  (if o.Btree_check.violations <> [] then
-     let v = List.hd o.Btree_check.violations in
+  (if o.Crash_lab.violations <> [] then
+     let v = List.hd o.Crash_lab.violations in
      Alcotest.failf "btree explorer: %d violations; first at upto=%d torn=%s: %s"
-       (List.length o.Btree_check.violations)
-       v.Btree_check.crash.Btree_check.upto
-       (match v.Btree_check.crash.Btree_check.torn with
+       (List.length o.Crash_lab.violations)
+       v.Crash_lab.crash.Crash_lab.upto
+       (match v.Crash_lab.crash.Crash_lab.torn with
        | Some t -> string_of_int t
        | None -> "-")
-       v.Btree_check.reason);
-  check_bool "covered splits" true (o.Btree_check.splits > 0);
-  check_bool "covered merges" true (o.Btree_check.merges > 0);
-  check_bool "covered borrows" true (o.Btree_check.borrows > 0);
-  check_bool "torn variants enumerated" true (o.Btree_check.torn_variants > 0);
-  check_int "boundary per event plus start" (o.Btree_check.events + 1)
-    o.Btree_check.boundaries;
-  check_bool "durable prefix advanced" true (o.Btree_check.durable > 0);
-  check_bool "commits recorded" true (o.Btree_check.commits >= 8)
+       v.Crash_lab.reason);
+  let x = o.Crash_lab.extra in
+  check_bool "covered splits" true (x.Btree_check.splits > 0);
+  check_bool "covered merges" true (x.Btree_check.merges > 0);
+  check_bool "covered borrows" true (x.Btree_check.borrows > 0);
+  check_bool "torn variants enumerated" true (o.Crash_lab.torn_variants > 0);
+  check_int "boundary per event plus start" (o.Crash_lab.events + 1)
+    o.Crash_lab.boundaries;
+  check_bool "durable prefix advanced" true (x.Btree_check.durable > 0);
+  check_bool "commits recorded" true (x.Btree_check.commits >= 8)
 
 let test_btree_deterministic () =
   let a = Btree_check.run () and b = Btree_check.run () in
-  check_int "events" a.Btree_check.events b.Btree_check.events;
-  check_int "recoveries" a.Btree_check.recoveries b.Btree_check.recoveries;
-  check_int "torn variants" a.Btree_check.torn_variants
-    b.Btree_check.torn_variants
+  check_int "events" a.Crash_lab.events b.Crash_lab.events;
+  check_int "recoveries" a.Crash_lab.recoveries b.Crash_lab.recoveries;
+  check_int "torn variants" a.Crash_lab.torn_variants
+    b.Crash_lab.torn_variants
 
 let test_btree_small_sector () =
   (* A smaller atomicity unit multiplies torn variants; the tree must
@@ -414,8 +464,145 @@ let test_btree_small_sector () =
       ~config:{ Btree_check.default_config with Btree_check.sector = 64 }
       ()
   in
-  check_int "clean at sector 64" 0 (List.length o.Btree_check.violations);
-  check_bool "more torn variants" true (o.Btree_check.torn_variants > 100)
+  check_int "clean at sector 64" 0 (List.length o.Crash_lab.violations);
+  check_bool "more torn variants" true (o.Crash_lab.torn_variants > 100)
+
+(* --- the pinned crash enumeration --- *)
+
+module Shard_check = Rvm_check.Shard_check
+module Elr_check = Rvm_check.Elr_check
+
+(* Each row builds, through the library API, the config that [rvmutl
+   check] builds for one CI invocation, and pins the exact crash-point
+   enumeration: events, writes, syncs, boundaries, torn variants and
+   recoveries, with zero violations. A refactor of the crash core must
+   leave every row unchanged. Fields are read by type, not by module
+   path, so the rows do not depend on where the outcome record lives. *)
+let pinned_explorer ?(incremental = false) ?(mid_truncation = false)
+    ?(exhaustive = false) ~ops ~seed () =
+  let config =
+    {
+      Explorer.default_config with
+      Explorer.exhaustive;
+      truncation_mode =
+        (if incremental then Types.Incremental else Types.Epoch);
+      mid_truncation;
+      log_size =
+        (if mid_truncation then 16 * 1024
+         else Explorer.default_config.Explorer.log_size);
+    }
+  in
+  let ops =
+    Workload.generate ~mid_truncation
+      ~rng:(Rng.create ~seed:(Int64.of_int seed))
+      ~ops ~region_len:config.Explorer.region_len ()
+  in
+  let o : Explorer.outcome = Explorer.run ~config ops in
+  ( [
+      o.events; o.writes; o.syncs; o.boundaries; o.torn_variants; o.recoveries;
+    ],
+    List.length o.violations )
+
+let pinned_sharded ?(incremental = false) ?(mid_truncation = false)
+    ?(exhaustive = false) ~shards ~ops ~seed () =
+  let config =
+    {
+      Shard_check.default_config with
+      Shard_check.shards;
+      exhaustive;
+      truncation_mode =
+        (if incremental then Types.Incremental else Types.Epoch);
+      mid_truncation;
+      log_size =
+        (if mid_truncation then 16 * 1024
+         else Shard_check.default_config.Shard_check.log_size);
+    }
+  in
+  let ops =
+    Shard_check.generate ~mid_truncation
+      ~rng:(Rng.create ~seed:(Int64.of_int seed))
+      ~ops ~shards ~region_len:config.Shard_check.region_len ()
+  in
+  let o : Shard_check.outcome = Shard_check.run ~config ops in
+  ( [
+      o.events; o.writes; o.syncs; o.boundaries; o.torn_variants; o.recoveries;
+    ],
+    List.length o.violations )
+
+let pinned_elr ?(exhaustive = false) ?(shards = 1) ?(seed = 1) () =
+  let config =
+    {
+      Elr_check.default_config with
+      Elr_check.shards;
+      seed = Int64.of_int seed;
+      exhaustive;
+    }
+  in
+  let o : Elr_check.outcome = Elr_check.run ~config () in
+  ( [
+      o.events; o.writes; o.syncs; o.boundaries; o.torn_variants; o.recoveries;
+    ],
+    List.length o.violations )
+
+let pinned_btree ?(exhaustive = false) ?(sector = 512) () =
+  let config =
+    { Btree_check.default_config with Btree_check.sector; exhaustive }
+  in
+  let o : Btree_check.outcome = Btree_check.run ~config () in
+  ( [
+      o.events; o.writes; o.syncs; o.boundaries; o.torn_variants; o.recoveries;
+    ],
+    List.length o.violations )
+
+let test_pinned_enumeration () =
+  List.iter
+    (fun (name, run, expected) ->
+      let counts, violations = run () in
+      check_int (name ^ ": violations") 0 violations;
+      Alcotest.(check (list int))
+        (name ^ ": events, writes, syncs, boundaries, torn, recoveries")
+        expected counts)
+    [
+      ( "--ops 20 --seed 1 --exhaustive",
+        (fun () -> pinned_explorer ~exhaustive:true ~ops:20 ~seed:1 ()),
+        [ 46; 34; 12; 47; 61; 108 ] );
+      ( "--shards 2 --ops 16 --seed 1 --exhaustive",
+        (fun () ->
+          pinned_sharded ~exhaustive:true ~shards:2 ~ops:16 ~seed:1 ()),
+        [ 75; 47; 28; 76; 59; 135 ] );
+      ( "--shards 3 --ops 12 --seed 2 --incremental",
+        (fun () ->
+          pinned_sharded ~incremental:true ~shards:3 ~ops:12 ~seed:2 ()),
+        [ 67; 34; 33; 68; 75; 143 ] );
+      ( "--mid-truncation --ops 20 --seed 1",
+        (fun () -> pinned_explorer ~mid_truncation:true ~ops:20 ~seed:1 ()),
+        [ 24; 12; 12; 25; 47; 72 ] );
+      ( "--mid-truncation --incremental --ops 20 --seed 2",
+        (fun () ->
+          pinned_explorer ~mid_truncation:true ~incremental:true ~ops:20
+            ~seed:2 ()),
+        [ 32; 16; 16; 33; 53; 86 ] );
+      ( "--shards 2 --mid-truncation --ops 12 --seed 1",
+        (fun () ->
+          pinned_sharded ~mid_truncation:true ~shards:2 ~ops:12 ~seed:1 ()),
+        [ 52; 31; 21; 53; 50; 103 ] );
+      ( "--shards 2 --mid-truncation --incremental --ops 12 --seed 3",
+        (fun () ->
+          pinned_sharded ~mid_truncation:true ~incremental:true ~shards:2
+            ~ops:12 ~seed:3 ()),
+        [ 16; 8; 8; 17; 21; 38 ] );
+      ("--elr", (fun () -> pinned_elr ()), [ 26; 13; 13; 27; 44; 71 ]);
+      ( "--elr --shards 2",
+        (fun () -> pinned_elr ~shards:2 ()),
+        [ 38; 19; 19; 39; 56; 95 ] );
+      ( "--elr --seed 3 --exhaustive",
+        (fun () -> pinned_elr ~seed:3 ~exhaustive:true ()),
+        [ 34; 17; 17; 35; 75; 110 ] );
+      ("--btree", (fun () -> pinned_btree ()), [ 22; 13; 9; 23; 54; 77 ]);
+      ( "--btree --exhaustive --sector 128",
+        (fun () -> pinned_btree ~exhaustive:true ~sector:128 ()),
+        [ 22; 13; 9; 23; 237; 260 ] );
+    ]
 
 let suite =
   [
@@ -437,4 +624,5 @@ let suite =
     ("btree.clean-and-covered", `Quick, test_btree_clean_and_covered);
     ("btree.deterministic", `Quick, test_btree_deterministic);
     ("btree.small-sector", `Quick, test_btree_small_sector);
+    ("explorer.pinned-enumeration", `Quick, test_pinned_enumeration);
   ]

@@ -11,12 +11,13 @@
    ack-dependency check. *)
 
 module Elr_check = Rvm_check.Elr_check
+module Crash_lab = Rvm_check.Crash_lab
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let assert_clean o =
-  if o.Elr_check.violations <> [] then
+  if o.Crash_lab.violations <> [] then
     Alcotest.failf "ELR explorer found violations:@.%a" Elr_check.pp_outcome o
 
 (* Single shard, default mix: the run must actually exercise the machinery
@@ -28,13 +29,14 @@ let assert_clean o =
 let test_exhaustive_single_shard () =
   let o = Elr_check.run () in
   assert_clean o;
-  check_bool "commits explored" true (o.Elr_check.commits > 0);
-  check_bool "lookups explored" true (o.Elr_check.reads > 0);
-  check_bool "early releases happened" true (o.Elr_check.elr_released > 0);
-  check_bool "torn variants explored" true (o.Elr_check.torn_variants > 0);
+  let x = o.Crash_lab.extra in
+  check_bool "commits explored" true (x.Elr_check.commits > 0);
+  check_bool "lookups explored" true (x.Elr_check.reads > 0);
+  check_bool "early releases happened" true (x.Elr_check.elr_released > 0);
+  check_bool "torn variants explored" true (o.Crash_lab.torn_variants > 0);
   check_int "boundaries = events + 1"
-    (o.Elr_check.events + 1)
-    o.Elr_check.boundaries
+    (o.Crash_lab.events + 1)
+    o.Crash_lab.boundaries
 
 (* Two shards: transfers whose accounts route to different shards commit
    by parallel commit, so crash points now fall between one shard's
@@ -48,8 +50,9 @@ let test_exhaustive_two_shards () =
       ()
   in
   assert_clean o;
-  check_bool "cross-shard commits explored" true (o.Elr_check.cross > 0);
-  check_bool "early releases happened" true (o.Elr_check.elr_released > 0)
+  let x = o.Crash_lab.extra in
+  check_bool "cross-shard commits explored" true (x.Elr_check.cross > 0);
+  check_bool "early releases happened" true (x.Elr_check.elr_released > 0)
 
 (* A couple more seeds so the explored interleavings aren't one lucky
    schedule; non-exhaustive torn sampling keeps it quick. *)
@@ -71,10 +74,11 @@ let test_more_seeds () =
 
 let test_deterministic () =
   let o1 = Elr_check.run () and o2 = Elr_check.run () in
-  check_int "events" o1.Elr_check.events o2.Elr_check.events;
-  check_int "recoveries" o1.Elr_check.recoveries o2.Elr_check.recoveries;
-  check_int "commits" o1.Elr_check.commits o2.Elr_check.commits;
-  check_int "reads" o1.Elr_check.reads o2.Elr_check.reads
+  check_int "events" o1.Crash_lab.events o2.Crash_lab.events;
+  check_int "recoveries" o1.Crash_lab.recoveries o2.Crash_lab.recoveries;
+  let x1 = o1.Crash_lab.extra and x2 = o2.Crash_lab.extra in
+  check_int "commits" x1.Elr_check.commits x2.Elr_check.commits;
+  check_int "reads" x1.Elr_check.reads x2.Elr_check.reads
 
 let suite =
   [
