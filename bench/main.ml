@@ -626,16 +626,12 @@ let truncation_arm ~requests ~load ~log_size ~background () =
     }
   in
   let w, tally = S.run_with_world cfg in
+  S.close_world w;
   let module Sch = Rvm_server.Scheduler in
   let p99 =
-    let lats = tally.Sch.latencies_us in
-    let n = Array.length lats in
-    if n = 0 then 0.
-    else begin
-      let a = Array.copy lats in
-      Array.sort compare a;
-      a.(max 0 (int_of_float (ceil (0.99 *. float_of_int n)) - 1))
-    end
+    let a = Array.copy tally.Sch.latencies_us in
+    Array.sort compare a;
+    S.percentile a 99.
   in
   let bytes =
     Array.fold_left
@@ -808,7 +804,7 @@ let ycsb () =
          ("records", J.Int records);
          ("requests", J.Int requests);
          ("value_len", J.Int base.Y.value_len);
-         ("degree", J.Int base.Y.degree);
+         ("degree", J.Int Y.degree);
          ("mem_fraction", J.Float base.Y.mem_fraction);
          ("seed", J.Int (Int64.to_int base.Y.seed));
          ("results", J.List (List.map Y.result_to_json results));

@@ -322,15 +322,17 @@ let check_btree exhaustive sector =
   end;
   if o.Lab.violations <> [] then exit 1
 
+(* A flag value or combination a subcommand cannot honour: say so on
+   stderr and exit 2 rather than run something other than what was asked. *)
+let reject fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("rvmutl: " ^ msg);
+      exit 2)
+    fmt
+
 let check ops_n seed exhaustive sector incremental shards mid_truncation elr
     btree =
-  let reject fmt =
-    Printf.ksprintf
-      (fun msg ->
-        prerr_endline ("rvmutl: " ^ msg);
-        exit 2)
-      fmt
-  in
   if sector <= 0 then reject "--sector must be positive (got %d)" sector;
   if ops_n < 0 then reject "--ops must be non-negative (got %d)" ops_n;
   if shards < 1 then reject "--shards must be at least 1 (got %d)" shards;
@@ -387,10 +389,7 @@ let check ops_n seed exhaustive sector incremental shards mid_truncation elr
 (* --- trace: causal tracing of a TPC-A run --- *)
 
 let trace path out txns accounts batch seed top_n =
-  if txns <= 0 then begin
-    Printf.eprintf "rvmutl: --txns must be positive (got %d)\n" txns;
-    exit 2
-  end;
+  if txns <= 0 then reject "--txns must be positive (got %d)" txns;
   let module Tpca = Rvm_workload.Tpca in
   let module Driver = Rvm_workload.Driver in
   let module Registry = Rvm_obs.Registry in
@@ -452,38 +451,20 @@ let trace path out txns accounts batch seed top_n =
    telemetry and the SLO monitor on the scheduler's quantum tick,
    streaming a top-style health line per closed window and ending with
    the postmortem JSON artifact. *)
-let serve_monitored requests accounts seed loads batches sessions think_ms
-    log_size zipf_s read_pct window_ms postmortem_out =
+let serve_monitored (cfg : Rvm_server.Server.config) window_ms postmortem_out
+    =
   let module S = Rvm_server.Server in
   let module M = Rvm_obs.Monitor in
   let module Ts = Rvm_obs.Timeseries in
   let module J = Rvm_obs.Json in
-  let load =
-    match (loads, sessions) with
-    | t :: _, _ -> S.Open_loop t
-    | [], Some n -> S.Closed_loop { sessions = n; think_us = think_ms *. 1e3 }
-    | [], None -> S.Open_loop 40.
-  in
-  let batch = match batches with b :: _ -> b | [] -> 8 in
-  let cfg =
-    {
-      S.default_config with
-      S.requests;
-      accounts;
-      seed = Int64.of_int seed;
-      load;
-      batch_max = batch;
-      log_size;
-      zipf_s;
-      read_pct;
-      (* the incident flight recorder needs a live span ring *)
-      trace_capacity = 256;
-    }
-  in
+  (* the incident flight recorder needs a live span ring *)
+  let cfg = { cfg with S.trace_capacity = 256 } in
+  let seed = Int64.to_int cfg.S.seed in
   Printf.printf
     "monitored serve: %d requests, %s, batch %d, log %d B, seed %d, window \
      %.0fms\n\n"
-    requests (S.load_name load) batch log_size seed window_ms;
+    cfg.S.requests (S.load_name cfg.S.load) cfg.S.batch_max cfg.S.log_size
+    seed window_ms;
   let result, mon =
     S.run_monitored ~window_us:(window_ms *. 1e3)
       ~on_window:(fun mon _w ->
@@ -520,14 +501,14 @@ let serve_monitored requests accounts seed loads batches sessions think_ms
   let run_meta =
     [
       ("tool", J.String "rvmutl serve --monitor");
-      ("load", J.String (S.load_name load));
-      ("requests", J.Int requests);
-      ("accounts", J.Int accounts);
-      ("batch_max", J.Int batch);
-      ("log_size", J.Int log_size);
+      ("load", J.String (S.load_name cfg.S.load));
+      ("requests", J.Int cfg.S.requests);
+      ("accounts", J.Int cfg.S.accounts);
+      ("batch_max", J.Int cfg.S.batch_max);
+      ("log_size", J.Int cfg.S.log_size);
       ("seed", J.Int seed);
-      ("zipf_s", J.Float zipf_s);
-      ("read_pct", J.Int read_pct);
+      ("zipf_s", J.Float cfg.S.zipf_s);
+      ("read_pct", J.Int cfg.S.read_pct);
       ("committed", J.Int result.S.committed);
       ("throughput_tps", J.Float result.S.throughput_tps);
       ("p99_latency_us", J.Float result.S.p99_latency_us);
@@ -583,99 +564,90 @@ let parse_workload s =
     in
     (match Ycsb.mix_of_string tail with
     | Some mix -> `Ycsb mix
-    | None ->
-      Printf.eprintf
-        "rvmutl: unknown --workload %S (expected tpca or ycsb-a..ycsb-f)\n" s;
-      exit 2)
+    | None -> reject "unknown --workload %S (expected tpca or ycsb-a..ycsb-f)" s)
 
 let serve requests accounts seed loads batches sessions think_ms trace_out
     log_size zipf_s read_pct monitor window_ms postmortem_out workload records
     =
-  if requests <= 0 then begin
-    Printf.eprintf "rvmutl: --requests must be positive (got %d)\n" requests;
-    exit 2
-  end;
+  if requests <= 0 then reject "--requests must be positive (got %d)" requests;
   (match parse_workload workload with
   | `Ycsb mix ->
-    if records <= 0 then begin
-      Printf.eprintf "rvmutl: --records must be positive (got %d)\n" records;
-      exit 2
-    end;
+    if records <= 0 then reject "--records must be positive (got %d)" records;
+    if monitor then reject "--monitor serves TPC-A only, not --workload ycsb-*";
+    if trace_out <> None then
+      reject "--trace serves TPC-A only, not --workload ycsb-*";
+    if sessions <> None then
+      reject "--sessions serves TPC-A only, not --workload ycsb-*";
     serve_ycsb mix requests records seed loads batches log_size;
     exit 0
   | `Tpca -> ());
-  if read_pct < 0 || read_pct > 100 then begin
-    Printf.eprintf "rvmutl: --read-pct must be in [0, 100] (got %d)\n"
-      read_pct;
-    exit 2
-  end;
-  if monitor && window_ms <= 0. then begin
-    Printf.eprintf "rvmutl: --window-ms must be positive (got %g)\n" window_ms;
-    exit 2
-  end;
-  if monitor then
-    serve_monitored requests accounts seed loads batches sessions think_ms
-      log_size zipf_s read_pct window_ms postmortem_out
-  else begin
+  if read_pct < 0 || read_pct > 100 then
+    reject "--read-pct must be in [0, 100] (got %d)" read_pct;
+  if monitor && window_ms <= 0. then
+    reject "--window-ms must be positive (got %g)" window_ms;
+  if monitor && trace_out <> None then
+    reject "--trace and --monitor are separate runs; pass one of them";
   let module S = Rvm_server.Server in
-  (* --trace: one run (first load x first batch) with the span ring
-     sized to hold everything, exported as Chrome trace_event JSON —
-     the background truncator's steps show up interleaved with the
-     commit batches that triggered them. *)
-  (match trace_out with
-  | None -> ()
-  | Some out ->
-    let load = match loads with t :: _ -> t | [] -> 40. in
-    let batch = match batches with b :: _ -> b | [] -> 8 in
-    let cfg =
-      {
-        S.default_config with
-        S.requests;
-        accounts;
-        seed = Int64.of_int seed;
-        load = S.Open_loop load;
-        batch_max = batch;
-        log_size;
-        zipf_s;
-        read_pct;
-        trace_capacity = max 16384 (requests * 24);
-      }
-    in
-    let world, tally = S.run_with_world cfg in
-    let spans = Rvm_obs.Registry.events world.S.obs in
-    Rvm_obs.Export.write_chrome_trace ~process_name:"rvm-server" ~path:out
-      spans;
-    Printf.printf
-      "traced %d request(s) (load %.0f tps, batch %d, log %d B, seed %d): \
-       %d span(s)\nwrote %s (load in Perfetto or chrome://tracing)\n\n"
-      tally.Rvm_server.Scheduler.committed load batch log_size seed
-      (List.length spans) out);
-  let loads = if loads = [] then [ 10.; 20.; 40.; 80.; 160. ] else loads in
-  let batches = if batches = [] then [ 1; 8 ] else batches in
   let base =
     {
       S.default_config with
       S.requests;
       accounts;
       seed = Int64.of_int seed;
+      log_size;
       zipf_s;
       read_pct;
     }
   in
-  let rows =
-    S.sweep ~base
-      ~loads:(List.map (fun t -> S.Open_loop t) loads)
-      ~batch_sizes:batches
+  let closed =
+    Option.map
+      (fun n -> S.Closed_loop { sessions = n; think_us = think_ms *. 1e3 })
+      sessions
   in
-  let closed_rows =
-    match sessions with
-    | Some n ->
+  (* --monitor and --trace each run one cell: first load x first batch. *)
+  let batch = match batches with b :: _ -> b | [] -> 8 in
+  if monitor then
+    let load =
+      match (loads, closed) with
+      | t :: _, _ -> S.Open_loop t
+      | [], Some l -> l
+      | [], None -> S.Open_loop 40.
+    in
+    serve_monitored { base with S.load; batch_max = batch } window_ms
+      postmortem_out
+  else begin
+    (* --trace: the span ring sized to hold everything, exported as
+       Chrome trace_event JSON — the background truncator's steps show up
+       interleaved with the commit batches that triggered them. *)
+    (match trace_out with
+    | None -> ()
+    | Some out ->
+      let load = match loads with t :: _ -> t | [] -> 40. in
+      let world, tally =
+        S.run_with_world
+          {
+            base with
+            S.load = S.Open_loop load;
+            batch_max = batch;
+            trace_capacity = max 16384 (requests * 24);
+          }
+      in
+      S.close_world world;
+      let spans = Rvm_obs.Registry.events world.S.obs in
+      Rvm_obs.Export.write_chrome_trace ~process_name:"rvm-server" ~path:out
+        spans;
+      Printf.printf
+        "traced %d request(s) (load %.0f tps, batch %d, log %d B, seed %d): \
+         %d span(s)\nwrote %s (load in Perfetto or chrome://tracing)\n\n"
+        tally.Rvm_server.Scheduler.committed load batch log_size seed
+        (List.length spans) out);
+    let loads = if loads = [] then [ 10.; 20.; 40.; 80.; 160. ] else loads in
+    let rows =
       S.sweep ~base
-        ~loads:[ S.Closed_loop { sessions = n; think_us = think_ms *. 1e3 } ]
-        ~batch_sizes:batches
-    | None -> []
-  in
-  Format.printf "%a@?" S.pp_table (rows @ closed_rows)
+        ~loads:(List.map (fun t -> S.Open_loop t) loads @ Option.to_list closed)
+        ~batch_sizes:(if batches = [] then [ 1; 8 ] else batches)
+    in
+    Format.printf "%a@?" S.pp_table rows
   end
 
 (* --- benchdiff: metric-by-metric comparison of bench artifacts --- *)
@@ -730,9 +702,7 @@ let benchdiff old_path new_path tolerance_pct =
   let module J = Rvm_obs.Json in
   let read p =
     try J.read_file ~path:p
-    with Sys_error e | J.Parse_error e ->
-      Printf.eprintf "rvmutl: %s: %s\n" p e;
-      exit 2
+    with Sys_error e | J.Parse_error e -> reject "%s: %s" p e
   in
   let old_doc = read old_path and new_doc = read new_path in
   let tol = tolerance_pct /. 100. in
@@ -1083,7 +1053,7 @@ let serve_cmd =
   let accounts =
     Arg.(
       value & opt int 1000
-      & info [ "accounts" ] ~docv:"N" ~doc:"TPC-A account records.")
+      & info [ "accounts" ] ~docv:"N" ~doc:"Account records (TPC-A only).")
   in
   let seed =
     Arg.(
@@ -1118,7 +1088,7 @@ let serve_cmd =
     Arg.(
       value & opt float 100.
       & info [ "think-ms" ] ~docv:"MS"
-          ~doc:"Mean think time for the closed-loop row.")
+          ~doc:"Mean think time for the closed-loop row (TPC-A only).")
   in
   let trace_out =
     Arg.(
@@ -1137,8 +1107,9 @@ let serve_cmd =
       & opt int (4 * 1024 * 1024)
       & info [ "log-size" ] ~docv:"BYTES"
           ~doc:
-            "Log capacity for the traced run; small enough that the \
-             workload wraps it and background truncation fires.")
+            "Log capacity in bytes for every run; a log small enough that \
+             the workload wraps it makes background truncation fire, and \
+             a log too small to reclaim in time sheds requests.")
   in
   let zipf_s =
     Arg.(
@@ -1146,9 +1117,9 @@ let serve_cmd =
       & opt float Rvm_server.Server.default_config.Rvm_server.Server.zipf_s
       & info [ "zipf-s" ] ~docv:"S"
           ~doc:
-            "Account-key skew exponent; 0 is uniform, 0.99 is the classic \
-             hot-key contention point, above 1 a handful of accounts take \
-             most of the traffic.")
+            "Account-key skew exponent (TPC-A only); 0 is uniform, 0.99 is \
+             the classic hot-key contention point, above 1 a handful of \
+             accounts take most of the traffic.")
   in
   let read_pct =
     Arg.(
@@ -1156,7 +1127,8 @@ let serve_cmd =
       & info [ "read-pct" ] ~docv:"PCT"
           ~doc:
             "Percentage of requests issued as read-only balance lookups, \
-             served lock-free from the multi-version snapshot path.")
+             served lock-free from the multi-version snapshot path \
+             (TPC-A only).")
   in
   let monitor =
     Arg.(

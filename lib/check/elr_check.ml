@@ -1,16 +1,13 @@
 module Options = Rvm_core.Options
 module Clock = Rvm_util.Clock
-module Cost_model = Rvm_util.Cost_model
-module Rng = Rvm_util.Rng
 module Registry = Rvm_obs.Registry
 module Multi = Rvm_shard.Multi
 module Tpca = Rvm_workload.Tpca
 module Request = Rvm_server.Request
 module Placement = Rvm_server.Placement
 module Engine = Rvm_server.Engine
-module Admission = Rvm_server.Admission
-module Arrivals = Rvm_server.Arrivals
 module Scheduler = Rvm_server.Scheduler
+module Server = Rvm_server.Server
 
 type config = {
   shards : int;
@@ -69,17 +66,6 @@ type outcome = extras Crash_lab.outcome
 
 let page_size = 4096
 
-(* Same interleaved placement as the server harness: account i on shard
-   i mod n, per-shard teller/branch/audit, segments at disjoint vaddrs. *)
-let shard_layouts cfg =
-  let n = cfg.shards in
-  let next_base = ref (16 * page_size) in
-  Array.init n (fun s ->
-      let accts = (cfg.accounts + n - 1 - s) / n in
-      let l = Tpca.layout ~accounts:accts ~base:!next_base ~page_size in
-      next_base := !next_base + l.Tpca.total_len + (16 * page_size);
-      l)
-
 let map_layouts m layouts =
   Array.iteri
     (fun s (l : Tpca.layout) ->
@@ -99,7 +85,7 @@ let make_options () =
    device-event index at which every ack left the server. *)
 let run_workload lab cfg =
   let n = cfg.shards in
-  let layouts = shard_layouts cfg in
+  let layouts = Server.shard_layouts ~accounts:cfg.accounts ~shards:n in
   let clock = Clock.simulated () in
   let m, logs, segs =
     Shard_check.record lab ~options:(make_options ()) ~clock
@@ -108,42 +94,38 @@ let run_workload lab cfg =
       ()
   in
   map_layouts m layouts;
-  let pl = Placement.make ~layouts in
-  let rng = Rng.create ~seed:cfg.seed in
-  let gen_rng = Rng.split rng in
-  let arrival_rng = Rng.split rng in
-  let backoff_rng = Rng.split rng in
-  let gen =
-    Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
-      ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng:gen_rng ()
-  in
-  let arrivals =
-    Arrivals.open_loop ~start_us:(Clock.now_us clock) ~rate_tps:cfg.rate_tps
-      ~requests:cfg.requests ~rng:arrival_rng ()
-  in
-  let admission =
-    (* Queue deep enough that nothing sheds: membership checking wants
-       every generated write to either commit or still be in flight at
-       the crash, never refused. *)
-    Admission.create
-      {
-        Admission.max_inflight = 8;
-        max_queue = cfg.requests + 8;
-        backpressure = 0.95;
-      }
-  in
-  let scfg =
+  let world =
     {
-      Scheduler.default_config with
-      Scheduler.batch_max = cfg.batch_max;
-      elr = true;
+      Server.engine = Engine.of_multi m;
+      backend = Server.Sharded m;
+      clock;
+      obs = Crash_lab.obs lab;
+      placement = Placement.make ~layouts;
+      log_devs = Array.map Crash_lab.device logs;
+      seg_devs = Array.map Crash_lab.device segs;
     }
   in
   let sched =
-    Scheduler.create ~cfg:scfg ~engine:(Engine.of_multi m) ~clock
-      ~obs:(Crash_lab.obs lab)
-      ~lock_mgr:(Rvm_layers.Lock_mgr.create ()) ~placement:pl ~admission
-      ~arrivals ~gen ~rng:backoff_rng ()
+    Server.scheduler_of
+      {
+        Server.default_config with
+        Server.accounts = cfg.accounts;
+        requests = cfg.requests;
+        seed = cfg.seed;
+        load = Server.Open_loop cfg.rate_tps;
+        batch_max = cfg.batch_max;
+        zipf_s = cfg.zipf_s;
+        read_pct = cfg.read_pct;
+        transfer_pct = cfg.transfer_pct;
+        (* Queue deep enough that nothing sheds: membership checking
+           wants every generated write to either commit or still be in
+           flight at the crash, never refused. *)
+        max_inflight = 8;
+        max_queue = cfg.requests + 8;
+        backpressure = 0.95;
+        elr = true;
+      }
+      world
   in
   let spool_order = ref [] (* newest first *) in
   let acks = ref [] in

@@ -29,3 +29,5 @@ let snapshot (d : Device.t) =
   match Hashtbl.find_opt backing d.Device.name with
   | Some data -> Bytes.copy data
   | None -> invalid_arg "Mem_device.snapshot: not a memory device"
+
+let live () = Hashtbl.length backing

@@ -9,3 +9,7 @@ val of_bytes : ?name:string -> Bytes.t -> Device.t
 
 val snapshot : Device.t -> Bytes.t
 (** Copy of the device contents; only valid on devices made by [create]. *)
+
+val live : unit -> int
+(** Devices made by [create] and not yet closed: each holds its whole
+    image in memory until [close]. *)

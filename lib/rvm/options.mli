@@ -30,9 +30,6 @@ type t = {
           sequential writes per force, absorbing intervening forces into
           one sync (section 5.1's "one sequential write plus one
           synchronous I/O"); off = one device write per appended record *)
-  log_spool_max_bytes : int;
-      (** watermark on the buffered log tail: spooled bytes beyond this
-          drain to the device early (without syncing) *)
   intra_optimization : bool;
       (** coalesce duplicate/overlapping/adjacent set_ranges (section 5.2);
           disabled only for the ablation benchmarks *)

@@ -264,8 +264,7 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
   let resolve id = Stack.with_stats ~obs ~prefix:"disk.seg" () (resolve id) in
   let lm =
     match
-      Log_manager.open_log ~obs ~group_commit:options.Options.group_commit
-        ~max_spool_bytes:options.Options.log_spool_max_bytes log
+      Log_manager.open_log ~obs ~group_commit:options.Options.group_commit log
     with
     | Ok lm -> lm
     | Error e -> Types.error "initialize: %s" e
@@ -925,7 +924,7 @@ let spool_pressure (t : t) =
     t.spool_bytes + Log_manager.spooled_bytes t.log
   in
   let watermark =
-    t.opts.Options.spool_max_bytes + t.opts.Options.log_spool_max_bytes
+    t.opts.Options.spool_max_bytes + Log_manager.spool_capacity t.log
   in
   float_of_int unflushed /. float_of_int (max 1 watermark)
 

@@ -10,45 +10,42 @@ module Histogram = Rvm_obs.Histogram
 
 exception Stuck of string
 
-type config = {
-  batch_max : int;
-  backoff_base_us : float;
-  backoff_cap : int;
-  cpu_per_op_us : float;
-  max_iterations : int;
-  truncation_steps_per_quantum : int;
-  truncation_spool_trigger : float;
-  truncation_min_gap_us : float;
-  background_truncation : bool;
-  elr : bool;
-}
+type config = { batch_max : int; background_truncation : bool; elr : bool }
 
-let default_config =
-  {
-    batch_max = 8;
-    backoff_base_us = 1_000.;
-    backoff_cap = 6;
-    cpu_per_op_us = 25.;
-    max_iterations = 20_000_000;
-    truncation_steps_per_quantum = 1;
-    truncation_spool_trigger = 0.5;
-    truncation_min_gap_us = 200_000.;
-    background_truncation = true;
-    elr = true;
-  }
+let default_config = { batch_max = 8; background_truncation = true; elr = true }
 
-let validate_config c =
-  if c.batch_max <= 0 then invalid_arg "Scheduler: batch_max";
-  if c.backoff_base_us <= 0. then invalid_arg "Scheduler: backoff_base_us";
-  if c.backoff_cap < 0 then invalid_arg "Scheduler: backoff_cap";
-  if c.cpu_per_op_us < 0. then invalid_arg "Scheduler: cpu_per_op_us";
-  if c.max_iterations <= 0 then invalid_arg "Scheduler: max_iterations";
-  if c.truncation_steps_per_quantum <= 0 then
-    invalid_arg "Scheduler: truncation_steps_per_quantum";
-  if c.truncation_spool_trigger <= 0. then
-    invalid_arg "Scheduler: truncation_spool_trigger";
-  if c.truncation_min_gap_us < 0. then
-    invalid_arg "Scheduler: truncation_min_gap_us"
+(* Fixed policy. No caller varies these; each is a property of the
+   scheduler's design rather than of a run.
+
+   A deadlock victim retries after [backoff_base_us], doubled per lost
+   attempt at most [backoff_cap] times and scaled by a seeded jitter
+   draw in [0.5, 1.5). *)
+let backoff_base_us = 1_000.
+let backoff_cap = 6
+
+(* CPU charged per lock acquisition, update step and snapshot read. *)
+let cpu_per_op_us = 25.
+
+(* Hang guard: a loop that runs this many quanta raises [Stuck] rather
+   than spinning (the no-hang property test depends on it). *)
+let max_iterations = 20_000_000
+
+(* Background truncator steps per quantum that may charge device time
+   (sync/force steps); steps that charge nothing — write-back page
+   writes — run up to 16x this cap for free, so a fragmented plan drains
+   in bursts without stalling the quantum. *)
+let truncation_steps_per_quantum = 1
+
+(* Spool pressure at which the step budget doubles and the burst gap
+   halves: a loaded spool means the next drain appends a burst, so
+   reclaim harder while it builds. *)
+let truncation_spool_trigger = 0.5
+
+(* Minimum simulated time between device-charging truncation bursts:
+   spreads one reclaim cycle's syncs and forces across the cycle instead
+   of clustering them into a single effective stall (ignored when
+   truncation is urgent). *)
+let truncation_min_gap_us = 200_000.
 
 (* The executable form of a request: lock acquisitions interleaved with
    the recoverable-memory updates they cover, consumed front to back. *)
@@ -208,7 +205,7 @@ type t = {
 
 let create ?(plug = fun _ -> []) ~cfg ~engine ~clock ~obs ~lock_mgr ~placement
     ~admission ~arrivals ~gen ~rng () =
-  validate_config cfg;
+  if cfg.batch_max <= 0 then invalid_arg "Scheduler: batch_max";
   {
     cfg;
     eng = engine;
@@ -269,7 +266,7 @@ let set_hooks t ~on_spool ~on_ack =
 let set_on_quantum t f = t.on_quantum <- f
 
 let now t = Clock.now_us t.clock
-let charge t = Clock.charge_cpu t.clock t.cfg.cpu_per_op_us
+let charge t = Clock.charge_cpu t.clock cpu_per_op_us
 
 (* --- recoverable-memory updates (addresses per Placement) --- *)
 
@@ -522,9 +519,9 @@ let abort_retry t (r : Request.t) =
   Counter.incr t.c_retry;
   Hashtbl.replace t.steps r.Request.spec.Request.id
     (steps_of t r.Request.spec);
-  let exp = min (r.Request.attempts - 1) t.cfg.backoff_cap in
+  let exp = min (r.Request.attempts - 1) backoff_cap in
   let jitter = 0.5 +. Rng.float t.rng 1.0 in
-  let delay = t.cfg.backoff_base_us *. float_of_int (1 lsl exp) *. jitter in
+  let delay = backoff_base_us *. float_of_int (1 lsl exp) *. jitter in
   r.Request.status <- Request.Backoff;
   insert_retry t (now t +. delay) r;
   wake_parked t
@@ -714,11 +711,11 @@ let background_truncation t =
       | None -> false
     in
     let pressured =
-      t.eng.Engine.spool_pressure () >= t.cfg.truncation_spool_trigger
+      t.eng.Engine.spool_pressure () >= truncation_spool_trigger
     in
     let gap =
-      if pressured then t.cfg.truncation_min_gap_us /. 2.
-      else t.cfg.truncation_min_gap_us
+      if pressured then truncation_min_gap_us /. 2.
+      else truncation_min_gap_us
     in
     let gap_open = now t -. t.trunc_last_pause_us >= gap in
     if
@@ -734,8 +731,8 @@ let background_truncation t =
          this slot exists to avoid. Free steps still get a cap so one
          quantum cannot spin unboundedly. *)
       let budget =
-        if pressured then 2 * t.cfg.truncation_steps_per_quantum
-        else t.cfg.truncation_steps_per_quantum
+        if pressured then 2 * truncation_steps_per_quantum
+        else truncation_steps_per_quantum
       in
       let free_cap = 16 * budget in
       let t0 = now t in
@@ -795,7 +792,7 @@ let next_event_at t =
 let run t =
   let rec loop () =
     t.iterations <- t.iterations + 1;
-    if t.iterations > t.cfg.max_iterations then
+    if t.iterations > max_iterations then
       raise (Stuck (diagnose t "iteration budget exhausted"));
     t.on_quantum ();
     process_due t;

@@ -32,12 +32,8 @@ type config = {
   max_inflight : int;
   max_queue : int;
   backpressure : float;
-  backoff_base_us : float;
-  cpu_per_op_us : float;
   log_size : int;
   trace_capacity : int;
-  spool_max_bytes : int option;
-  log_spool_max_bytes : int option;
   background_truncation : bool;
   elr : bool;
   read_pct : int;
@@ -56,12 +52,8 @@ let default_config =
     max_inflight = Admission.default.Admission.max_inflight;
     max_queue = Admission.default.Admission.max_queue;
     backpressure = Admission.default.Admission.backpressure;
-    backoff_base_us = Scheduler.default_config.Scheduler.backoff_base_us;
-    cpu_per_op_us = Scheduler.default_config.Scheduler.cpu_per_op_us;
     log_size = 4 * 1024 * 1024;
     trace_capacity = 0;
-    spool_max_bytes = None;
-    log_spool_max_bytes = None;
     background_truncation = true;
     elr = true;
     read_pct = 0;
@@ -114,149 +106,142 @@ type world = {
   obs : Registry.t;
   placement : Placement.t;
   log_devs : Device.t array;  (* stats at the physical-device layer *)
+  seg_devs : Device.t array;
 }
 
 let options_of cfg =
-  let o = Options.default in
-  (* With the scheduler driving truncation from its background slot, the
-     inline commit-path trigger must stay quiet — otherwise a commit that
-     tips occupancy over the threshold pays a full synchronous truncation
-     instead of letting the slot amortize it. *)
-  let o = { o with Options.auto_truncate = not cfg.background_truncation } in
-  (* Incremental mode (Figure 7), not epoch: the server's reclamation
-     must be pausable. An epoch run's freeze re-reads the whole live
-     window through the log device (the recovery scanner) in one step —
-     seconds of charged reads at 1993 transfer rates, unsplittable from
-     the scheduler's point of view. The incremental page queue is
-     maintained online at commit time, so its steps only write pages
-     already in memory; epoch remains the blocked-queue critical
-     fallback. *)
-  let o = { o with Options.truncation_mode = Rvm_core.Types.Incremental } in
-  let o =
-    match cfg.spool_max_bytes with
-    | Some v -> { o with Options.spool_max_bytes = v }
-    | None -> o
-  in
-  match cfg.log_spool_max_bytes with
-  | Some v -> { o with Options.log_spool_max_bytes = v }
-  | None -> o
+  {
+    Options.default with
+    (* With the scheduler driving truncation from its background slot, the
+       inline commit-path trigger must stay quiet — otherwise a commit that
+       tips occupancy over the threshold pays a full synchronous truncation
+       instead of letting the slot amortize it. *)
+    Options.auto_truncate = not cfg.background_truncation;
+    (* Incremental mode (Figure 7), not epoch: the server's reclamation
+       must be pausable. An epoch run's freeze re-reads the whole live
+       window through the log device (the recovery scanner) in one step —
+       seconds of charged reads at 1993 transfer rates, unsplittable from
+       the scheduler's point of view. The incremental page queue is
+       maintained online at commit time, so its steps only write pages
+       already in memory; epoch remains the blocked-queue critical
+       fallback. *)
+    truncation_mode = Rvm_core.Types.Incremental;
+  }
 
 (* Shard s holds the accounts with index ≡ s (mod shards) plus its own
    teller array, branch array and audit trail, in its own segment on its
    own data disk — so a Payment is always single-shard and a Transfer
    crosses exactly when its two accounts interleave onto different
-   shards. *)
-let shard_layouts cfg =
-  let n = cfg.shards in
+   shards. One shard is the whole TPC-A layout at the same base. *)
+let shard_layouts ~accounts ~shards =
   let next_base = ref (16 * page_size) in
-  Array.init n (fun s ->
-      let accts = (cfg.accounts + n - 1 - s) / n in
+  Array.init shards (fun s ->
+      let accts = (accounts + shards - 1 - s) / shards in
       let l = Tpca.layout ~accounts:accts ~base:!next_base ~page_size in
       next_base := !next_base + l.Tpca.total_len + (16 * page_size);
       l)
+
+let devices ~clock ~log_size ~seg_sizes =
+  let model = Cost_model.dec5000 in
+  let dev name s layer size =
+    Stack.compose [ layer ]
+      (Mem_device.create ~name:(name ^ string_of_int s) ~size ())
+  in
+  ( Array.mapi
+      (fun s _ ->
+        dev "log" s
+          (Stack.with_latency ~clock ~disk:model.Cost_model.log_disk ())
+          log_size)
+      seg_sizes,
+    Array.mapi
+      (fun s size ->
+        dev "seg" s
+          (Stack.with_latency ~seek_fraction:0.08 ~sector:page_size ~clock
+             ~disk:model.Cost_model.data_disk ())
+          size)
+      seg_sizes )
 
 let build_world cfg =
   if cfg.shards < 1 then invalid_arg "Server: shards must be positive";
   if cfg.shards > cfg.accounts then
     invalid_arg "Server: more shards than accounts";
+  let n = cfg.shards in
   let clock = Clock.simulated () in
   let model = Cost_model.dec5000 in
   let obs = Registry.create ~trace_capacity:cfg.trace_capacity () in
   let options = options_of cfg in
-  let seg_stack dev =
-    Stack.compose
-      [ Stack.with_latency ~seek_fraction:0.08 ~sector:page_size ~clock
-          ~disk:model.Cost_model.data_disk () ]
-      dev
-  in
+  let layouts = shard_layouts ~accounts:cfg.accounts ~shards:n in
   (* World construction — formatting the logs, cold recovery scans,
      mapping the segments in — is setup, not served load: suspend the
      clock so the sweep measures steady-state serving from t=0 and the
      per-shard recovery reads don't bill the sharded configurations for
      scanning [shards] times as many log devices. *)
   Clock.suspend clock @@ fun () ->
-  if cfg.shards = 1 then begin
-    let base_vaddr = 16 * page_size in
-    let layout =
-      Tpca.layout ~accounts:cfg.accounts ~base:base_vaddr ~page_size
-    in
-    let seg_size = layout.Tpca.total_len + page_size in
-    let log_outer =
-      Stack.compose
-        [ Stack.with_latency ~clock ~disk:model.Cost_model.log_disk () ]
-        (Mem_device.create ~name:"log" ~size:cfg.log_size ())
-    in
-    let seg_dev = seg_stack (Mem_device.create ~name:"seg" ~size:seg_size ()) in
-    Rvm.create_log log_outer;
-    let rvm =
-      Rvm.initialize ~options ~clock ~model ~obs ~log:log_outer
-        ~resolve:(fun _ -> seg_dev)
-        ()
-    in
-    ignore
-      (Rvm.map rvm ~vaddr:base_vaddr ~seg:1 ~seg_off:0
-         ~len:layout.Tpca.total_len ());
-    {
-      engine = Engine.of_rvm rvm;
-      backend = Single rvm;
-      clock;
-      obs;
-      placement = Placement.make ~layouts:[| layout |];
-      log_devs = [| log_outer |];
-    }
-  end
-  else begin
-    let n = cfg.shards in
-    let layouts = shard_layouts cfg in
-    let logs =
-      Array.init n (fun s ->
-          Stack.compose
-            [ Stack.with_latency ~clock ~disk:model.Cost_model.log_disk () ]
-            (Mem_device.create
-               ~name:("log" ^ string_of_int s)
-               ~size:cfg.log_size ()))
-    in
-    let segs =
-      Array.init n (fun s ->
-          seg_stack
-            (Mem_device.create
-               ~name:("seg" ^ string_of_int s)
-               ~size:(layouts.(s).Tpca.total_len + page_size)
-               ()))
-    in
-    let routing =
-      Routing.of_table ~shards:n (List.init n (fun s -> (s + 1, s)))
-    in
-    Multi.create_logs logs;
-    let m =
-      Multi.initialize ~options ~clock ~model ~obs ~routing ~logs
-        ~resolve:(fun seg -> segs.(seg - 1))
-        ()
-    in
+  let logs, segs =
+    devices ~clock ~log_size:cfg.log_size
+      ~seg_sizes:(Array.map (fun l -> l.Tpca.total_len + page_size) layouts)
+  in
+  let map_all map =
     Array.iteri
       (fun s (l : Tpca.layout) ->
         ignore
-          (Multi.map m ~vaddr:l.Tpca.base ~seg:(s + 1) ~seg_off:0
-             ~len:l.Tpca.total_len ()))
-      layouts;
-    {
-      engine = Engine.of_multi m;
-      backend = Sharded m;
-      clock;
-      obs;
-      placement = Placement.make ~layouts;
-      log_devs = logs;
-    }
-  end
+          (map ~vaddr:l.Tpca.base ~seg:(s + 1) ~seg_off:0 ~len:l.Tpca.total_len))
+      layouts
+  in
+  (* One shard runs the single-log engine itself, not a one-shard
+     multi-log: the unsharded server is the plain RVM commit path. *)
+  let engine, backend =
+    if n = 1 then begin
+      Rvm.create_log logs.(0);
+      let rvm =
+        Rvm.initialize ~options ~clock ~model ~obs ~log:logs.(0)
+          ~resolve:(fun _ -> segs.(0))
+          ()
+      in
+      map_all (fun ~vaddr ~seg ~seg_off ~len ->
+          Rvm.map rvm ~vaddr ~seg ~seg_off ~len ());
+      (Engine.of_rvm rvm, Single rvm)
+    end
+    else begin
+      Multi.create_logs logs;
+      let m =
+        Multi.initialize ~options ~clock ~model ~obs
+          ~routing:(Routing.of_table ~shards:n (List.init n (fun s -> (s + 1, s))))
+          ~logs
+          ~resolve:(fun seg -> segs.(seg - 1))
+          ()
+      in
+      map_all (fun ~vaddr ~seg ~seg_off ~len ->
+          Multi.map m ~vaddr ~seg ~seg_off ~len ());
+      (Engine.of_multi m, Sharded m)
+    end
+  in
+  {
+    engine;
+    backend;
+    clock;
+    obs;
+    placement = Placement.make ~layouts;
+    log_devs = logs;
+    seg_devs = segs;
+  }
 
-let scheduler_of cfg w =
+let close_world w =
+  Array.iter (fun (d : Device.t) -> d.Device.close ()) (Array.append w.log_devs w.seg_devs)
+
+let scheduler_with ?plug ?gen cfg w =
+  (* The split order is part of the seed's meaning: the master seed
+     yields the request, arrival and backoff streams in that order. *)
   let rng = Rng.create ~seed:cfg.seed in
   let gen_rng = Rng.split rng in
   let arrival_rng = Rng.split rng in
   let backoff_rng = Rng.split rng in
   let gen =
-    Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
-      ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng:gen_rng ()
+    match gen with
+    | Some make -> make gen_rng
+    | None ->
+      Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
+        ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng:gen_rng ()
   in
   let start_us = Clock.now_us w.clock in
   let arrivals =
@@ -276,19 +261,17 @@ let scheduler_of cfg w =
         backpressure = cfg.backpressure;
       }
   in
-  let scfg =
-    {
-      Scheduler.default_config with
-      Scheduler.batch_max = cfg.batch_max;
-      backoff_base_us = cfg.backoff_base_us;
-      cpu_per_op_us = cfg.cpu_per_op_us;
-      background_truncation = cfg.background_truncation;
-      elr = cfg.elr;
-    }
-  in
-  Scheduler.create ~cfg:scfg ~engine:w.engine ~clock:w.clock ~obs:w.obs
-    ~lock_mgr:(Lock_mgr.create ()) ~placement:w.placement ~admission ~arrivals
-    ~gen ~rng:backoff_rng ()
+  Scheduler.create ?plug
+    ~cfg:
+      {
+        Scheduler.batch_max = cfg.batch_max;
+        background_truncation = cfg.background_truncation;
+        elr = cfg.elr;
+      }
+    ~engine:w.engine ~clock:w.clock ~obs:w.obs ~lock_mgr:(Lock_mgr.create ())
+    ~placement:w.placement ~admission ~arrivals ~gen ~rng:backoff_rng ()
+
+let scheduler_of cfg w = scheduler_with cfg w
 
 let log_totals w =
   Array.fold_left
@@ -296,69 +279,71 @@ let log_totals w =
       (ws + d.Device.stats.Device.writes, ss + d.Device.stats.Device.syncs))
     (0, 0) w.log_devs
 
-let reduce cfg w tally ~log_writes ~log_syncs =
-  let cross_committed, cross_aborted =
-    match w.backend with
-    | Single _ -> (0, 0)
-    | Sharded m -> (Multi.cross_committed m, Multi.cross_aborted m)
-  in
-  let lat = Array.copy tally.Scheduler.latencies_us in
-  Array.sort compare lat;
-  let rlat = Array.copy tally.Scheduler.read_latencies_us in
-  Array.sort compare rlat;
-  let n = Array.length lat in
-  let committed = tally.Scheduler.committed in
-  let reads = tally.Scheduler.reads in
-  let per c = if committed = 0 then 0. else float_of_int c /. float_of_int committed in
-  {
-    cfg;
-    committed;
-    reads;
-    shed = tally.Scheduler.shed;
-    aborts = tally.Scheduler.aborts;
-    abort_rate =
-      (let total = tally.Scheduler.aborts + committed in
-       if total = 0 then 0.
-       else float_of_int tally.Scheduler.aborts /. float_of_int total);
-    batches = tally.Scheduler.batches;
-    backpressure_deferrals = tally.Scheduler.backpressure_deferrals;
-    duration_us = tally.Scheduler.end_us;
-    throughput_tps =
-      (if tally.Scheduler.end_us > 0. then
-         float_of_int committed /. (tally.Scheduler.end_us /. 1e6)
-       else 0.);
-    mean_latency_us =
-      (if n = 0 then 0. else Array.fold_left ( +. ) 0. lat /. float_of_int n);
-    p50_latency_us = percentile lat 50.;
-    p95_latency_us = percentile lat 95.;
-    p99_latency_us = percentile lat 99.;
-    read_p99_latency_us = percentile rlat 99.;
-    snapshot_read_fraction =
-      (let total = reads + committed in
-       if total = 0 then 0. else float_of_int reads /. float_of_int total);
-    log_writes;
-    log_syncs;
-    syncs_per_commit = per log_syncs;
-    writes_per_commit = per log_writes;
-    cross_committed;
-    cross_aborted;
-    cross_abort_rate =
-      (let total = cross_committed + cross_aborted in
-       if total = 0 then 0.
-       else float_of_int cross_aborted /. float_of_int total);
-  }
+let ratio a b = if b = 0 then 0. else float_of_int a /. float_of_int b
 
-let run cfg =
-  let w = build_world cfg in
-  let sched = scheduler_of cfg w in
+let serve cfg w sched =
   let writes0, syncs0 = log_totals w in
   let tally = Scheduler.run sched in
   (* Leave any final no-flush residue where the run left it: syncs are
      attributed per committed request, and the scheduler always closes its
      last batch before the arrival process drains. *)
   let writes1, syncs1 = log_totals w in
-  reduce cfg w tally ~log_writes:(writes1 - writes0)
-    ~log_syncs:(syncs1 - syncs0)
+  let log_writes = writes1 - writes0 and log_syncs = syncs1 - syncs0 in
+  let cross_committed, cross_aborted =
+    match w.backend with
+    | Single _ -> (0, 0)
+    | Sharded m -> (Multi.cross_committed m, Multi.cross_aborted m)
+  in
+  let sorted a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a
+  in
+  let lat = sorted tally.latencies_us in
+  let n = Array.length lat in
+  let committed = tally.committed and reads = tally.reads in
+  {
+    cfg;
+    committed;
+    reads;
+    shed = tally.shed;
+    aborts = tally.aborts;
+    abort_rate = ratio tally.aborts (tally.aborts + committed);
+    batches = tally.batches;
+    backpressure_deferrals = tally.backpressure_deferrals;
+    duration_us = tally.end_us;
+    throughput_tps =
+      (if tally.end_us > 0. then float_of_int committed /. (tally.end_us /. 1e6)
+       else 0.);
+    mean_latency_us =
+      (if n = 0 then 0. else Array.fold_left ( +. ) 0. lat /. float_of_int n);
+    p50_latency_us = percentile lat 50.;
+    p95_latency_us = percentile lat 95.;
+    p99_latency_us = percentile lat 99.;
+    read_p99_latency_us = percentile (sorted tally.read_latencies_us) 99.;
+    snapshot_read_fraction = ratio reads (reads + committed);
+    log_writes;
+    log_syncs;
+    syncs_per_commit = ratio log_syncs committed;
+    writes_per_commit = ratio log_writes committed;
+    cross_committed;
+    cross_aborted;
+    cross_abort_rate = ratio cross_aborted (cross_committed + cross_aborted);
+  }
+
+(* Build, schedule, run, reduce, release. [watch] sees the world and its
+   scheduler before the run; the closure it returns runs after it, while
+   the world is still open. *)
+let run_watched cfg ~watch =
+  let w = build_world cfg in
+  let sched = scheduler_of cfg w in
+  let after = watch w sched in
+  let result = serve cfg w sched in
+  let watched = after () in
+  close_world w;
+  (result, watched)
+
+let run cfg = fst (run_watched cfg ~watch:(fun _ _ () -> ()))
 
 (* {2 Monitored runs}
 
@@ -395,26 +380,18 @@ let monitor_of ?(window_us = default_window_us) ?rules w =
   Monitor.create ~rules ts w.obs
 
 let run_monitored ?window_us ?rules ?(on_window = fun _ _ -> ()) cfg =
-  let w = build_world cfg in
-  let sched = scheduler_of cfg w in
-  let mon = monitor_of ?window_us ?rules w in
-  Scheduler.set_on_quantum sched (fun () ->
-      List.iter (on_window mon) (Monitor.tick mon ~now_us:(Clock.now_us w.clock)));
-  let writes0, syncs0 = log_totals w in
-  let tally = Scheduler.run sched in
-  List.iter (on_window mon) (Monitor.finish mon ~now_us:(Clock.now_us w.clock));
-  let writes1, syncs1 = log_totals w in
-  let result =
-    reduce cfg w tally ~log_writes:(writes1 - writes0)
-      ~log_syncs:(syncs1 - syncs0)
-  in
-  (result, mon)
+  run_watched cfg ~watch:(fun w sched ->
+      let mon = monitor_of ?window_us ?rules w in
+      let emit windows = List.iter (on_window mon) windows in
+      Scheduler.set_on_quantum sched (fun () ->
+          emit (Monitor.tick mon ~now_us:(Clock.now_us w.clock)));
+      fun () ->
+        emit (Monitor.finish mon ~now_us:(Clock.now_us w.clock));
+        mon)
 
 let run_with_world cfg =
   let w = build_world cfg in
-  let sched = scheduler_of cfg w in
-  let tally = Scheduler.run sched in
-  (w, tally)
+  (w, Scheduler.run (scheduler_of cfg w))
 
 let sweep ~base ~loads ~batch_sizes =
   List.concat_map

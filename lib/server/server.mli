@@ -34,12 +34,8 @@ type config = {
   max_inflight : int;
   max_queue : int;
   backpressure : float;  (** spool-pressure admission threshold *)
-  backoff_base_us : float;
-  cpu_per_op_us : float;
-  log_size : int;
+  log_size : int;  (** bytes per log device *)
   trace_capacity : int;  (** 0 = tracing off *)
-  spool_max_bytes : int option;  (** engine spool watermark override *)
-  log_spool_max_bytes : int option;  (** log tail watermark override *)
   background_truncation : bool;
       (** true (default): the engine's inline commit-path truncation
           trigger is disabled and the scheduler reclaims the log from its
@@ -122,19 +118,61 @@ type backend = Single of Rvm_core.Rvm.t | Sharded of Rvm_shard.Multi.t
 type world = {
   engine : Engine.t;
   backend : backend;
+      (** [Single] for one shard (the plain RVM engine), [Sharded]
+          otherwise *)
   clock : Rvm_util.Clock.t;
   obs : Rvm_obs.Registry.t;
   placement : Placement.t;
   log_devs : Rvm_disk.Device.t array;
       (** outermost log devices — their [stats] count physical
           writes/syncs; one element per shard *)
+  seg_devs : Rvm_disk.Device.t array;  (** one data segment per shard *)
 }
 
+val shard_layouts : accounts:int -> shards:int -> Rvm_workload.Tpca.layout array
+(** The TPC-A placement: shard [s] holds the accounts [i] with
+    [i mod shards = s] plus its own tellers, branches and audit trail, at
+    disjoint virtual addresses. *)
+
+val devices :
+  clock:Rvm_util.Clock.t ->
+  log_size:int ->
+  seg_sizes:int array ->
+  Rvm_disk.Device.t array * Rvm_disk.Device.t array
+(** One log and one data segment per entry of [seg_sizes]: memory
+    devices behind the dec5000 log-disk and data-disk latency models. *)
+
 val build_world : config -> world
+
+val close_world : world -> unit
+(** Close every device of the world. Memory devices stay registered (and
+    their images alive) until closed; {!run} and {!run_monitored} close
+    their worlds, callers of {!run_with_world} close theirs. *)
+
+val scheduler_with :
+  ?plug:(Request.spec -> Scheduler.step list) ->
+  ?gen:(Rvm_util.Rng.t -> Request.gen) ->
+  config ->
+  world ->
+  Scheduler.t
+(** The one scheduler wiring. [cfg.seed] splits into the request,
+    arrival and backoff streams, in that order; [gen] makes the request
+    generator from the first (default: the TPC-A mix of [cfg]); [load]
+    and [requests] shape the arrivals, the admission fields the
+    admission controller, and [batch_max], [background_truncation] and
+    [elr] the scheduler. Other fields are ignored. [plug] is passed to
+    {!Scheduler.create}. *)
+
 val scheduler_of : config -> world -> Scheduler.t
+(** [scheduler_with cfg w]: the TPC-A scheduler of a config. *)
+
+val serve : config -> world -> Scheduler.t -> result
+(** Run the scheduler to completion and reduce its tally, counting the
+    log devices' writes and syncs over the run. The world stays open. *)
 
 val run_with_world : config -> world * Scheduler.tally
-(** {!run} without the reduction: build, run, hand everything back. *)
+(** {!run} without the reduction: build, run, hand everything back. The
+    caller owns the world and closes it with {!close_world}. *)
 
 val sweep :
   base:config -> loads:load list -> batch_sizes:int list -> result list

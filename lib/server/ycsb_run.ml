@@ -1,9 +1,6 @@
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
-module Rng = Rvm_util.Rng
-module Mem_device = Rvm_disk.Mem_device
 module Device = Rvm_disk.Device
-module Stack = Rvm_disk.Stack
 module Rvm = Rvm_core.Rvm
 module Options = Rvm_core.Options
 module Types = Rvm_core.Types
@@ -21,20 +18,13 @@ type config = {
   records : int;
   value_len : int;
   scan_max : int;
-  degree : int;
   requests : int;
   seed : int64;
   load : Server.load;
   batch_max : int;
-  max_inflight : int;
-  max_queue : int;
-  backpressure : float;
-  backoff_base_us : float;
-  cpu_per_op_us : float;
   log_size : int;
   mem_fraction : float;
   background_truncation : bool;
-  elr : bool;
 }
 
 let default_config =
@@ -43,21 +33,17 @@ let default_config =
     records = 10_000;
     value_len = 64;
     scan_max = 20;
-    degree = 8;
     requests = 400;
     seed = 42L;
     load = Server.Open_loop 40.;
     batch_max = Scheduler.default_config.Scheduler.batch_max;
-    max_inflight = Admission.default.Admission.max_inflight;
-    max_queue = Admission.default.Admission.max_queue;
-    backpressure = Admission.default.Admission.backpressure;
-    backoff_base_us = Scheduler.default_config.Scheduler.backoff_base_us;
-    cpu_per_op_us = Scheduler.default_config.Scheduler.cpu_per_op_us;
     log_size = 8 * 1024 * 1024;
     mem_fraction = 0.25;
     background_truncation = true;
-    elr = true;
   }
+
+(* B-tree minimum degree: nodes hold up to 2 * degree - 1 keys. *)
+let degree = 8
 
 type result = {
   cfg : config;
@@ -96,6 +82,7 @@ type world = {
   tree : Pbtree.t;
   vm : Vm_sim.t option;
   log_dev : Device.t;
+  seg_dev : Device.t;
 }
 
 let page_size = 4096
@@ -143,17 +130,11 @@ let build_world cfg =
   let model = Cost_model.dec5000 in
   let obs = Registry.create () in
   let heap_len = heap_len_of cfg in
-  let log_outer =
-    Stack.compose
-      [ Stack.with_latency ~clock ~disk:model.Cost_model.log_disk () ]
-      (Mem_device.create ~name:"log" ~size:cfg.log_size ())
+  let logs, segs =
+    Server.devices ~clock ~log_size:cfg.log_size
+      ~seg_sizes:[| heap_len + page_size |]
   in
-  let seg_dev =
-    Stack.compose
-      [ Stack.with_latency ~seek_fraction:0.08 ~sector:page_size ~clock
-          ~disk:model.Cost_model.data_disk () ]
-      (Mem_device.create ~name:"seg" ~size:(heap_len + page_size) ())
-  in
+  let log_dev = logs.(0) and seg_dev = segs.(0) in
   (* The paging pressure the paper's section 7.1 asks about: physical
      frames are a fraction of the heap's pages, so the Zipf-cold tail of
      a large key population faults and evicts through the paging disk. *)
@@ -175,17 +156,17 @@ let build_world cfg =
            })
   in
   Clock.suspend clock @@ fun () ->
-  Rvm.create_log log_outer;
+  Rvm.create_log log_dev;
   let rvm =
     Rvm.initialize ~options:(options_of ()) ~clock ~model ~obs ?vm
-      ~log:log_outer
+      ~log:log_dev
       ~resolve:(fun _ -> seg_dev)
       ()
   in
   ignore (Rvm.map rvm ~vaddr:heap_base ~seg:1 ~seg_off:0 ~len:heap_len ());
   let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
   let heap = Rds.init rvm tid ~base:heap_base ~len:heap_len in
-  let tree = Pbtree.create rvm heap tid ~degree:cfg.degree in
+  let tree = Pbtree.create rvm heap tid ~degree in
   Rvm.end_transaction rvm tid ~mode:Types.Flush;
   load_tree cfg rvm tree;
   Rvm.set_options rvm (fun o ->
@@ -198,7 +179,7 @@ let build_world cfg =
   s.Pbtree.merges <- 0;
   s.Pbtree.borrows <- 0;
   { rvm; engine = Engine.of_rvm rvm; clock; obs; heap; tree; vm;
-    log_dev = log_outer }
+    log_dev; seg_dev }
 
 let tree_lock = "btree"
 
@@ -263,64 +244,51 @@ let plug_of cfg (tree : Pbtree.t) =
         ])
     | _ -> []
 
-let scheduler_of cfg w =
-  let rng = Rng.create ~seed:cfg.seed in
-  let gen_rng = Rng.split rng in
-  let arrival_rng = Rng.split rng in
-  let backoff_rng = Rng.split rng in
+(* The serving half of a YCSB config, stated as the TPC-A server's: the
+   shared scheduler wiring and reduction read only the seed, load,
+   request count, batch bound and background-truncation switch from it;
+   admission and early lock release keep the server's defaults. *)
+let serving cfg =
+  {
+    Server.default_config with
+    Server.requests = cfg.requests;
+    seed = cfg.seed;
+    load = cfg.load;
+    batch_max = cfg.batch_max;
+    background_truncation = cfg.background_truncation;
+  }
+
+(* The same world as the server sees it. The placement is TPC-A
+   machinery the plug never touches; a one-account layout satisfies the
+   scheduler's interface. *)
+let serving_world w =
+  {
+    Server.engine = w.engine;
+    backend = Server.Single w.rvm;
+    clock = w.clock;
+    obs = w.obs;
+    placement =
+      Placement.make
+        ~layouts:
+          [| Rvm_workload.Tpca.layout ~accounts:1 ~base:heap_base ~page_size |];
+    log_devs = [| w.log_dev |];
+    seg_devs = [| w.seg_dev |];
+  }
+
+let gen_of cfg rng =
   let g =
-    Ycsb.create ~rng:gen_rng ~mix:cfg.mix ~records:cfg.records
+    Ycsb.create ~rng ~mix:cfg.mix ~records:cfg.records
       ~value_len:cfg.value_len ~scan_max:cfg.scan_max
   in
-  let gen =
-    Request.of_fn (fun ~id ->
-        {
-          Request.id;
-          kind = Request.Ycsb (Ycsb.next g);
-          account = 0;
-          account2 = 0;
-          teller = 0;
-          delta = 0L;
-        })
-  in
-  let start_us = Clock.now_us w.clock in
-  let arrivals =
-    match cfg.load with
-    | Server.Open_loop rate_tps ->
-      Arrivals.open_loop ~start_us ~rate_tps ~requests:cfg.requests
-        ~rng:arrival_rng ()
-    | Server.Closed_loop { sessions; think_us } ->
-      Arrivals.closed_loop ~start_us ~sessions ~think_us
-        ~requests:cfg.requests ~rng:arrival_rng ()
-  in
-  let admission =
-    Admission.create ~obs:w.obs
+  Request.of_fn (fun ~id ->
       {
-        Admission.max_inflight = cfg.max_inflight;
-        max_queue = cfg.max_queue;
-        backpressure = cfg.backpressure;
-      }
-  in
-  let scfg =
-    {
-      Scheduler.default_config with
-      Scheduler.batch_max = cfg.batch_max;
-      backoff_base_us = cfg.backoff_base_us;
-      cpu_per_op_us = cfg.cpu_per_op_us;
-      background_truncation = cfg.background_truncation;
-      elr = cfg.elr;
-    }
-  in
-  (* The placement is TPC-A machinery the plug never touches; a
-     one-account layout satisfies the scheduler's interface. *)
-  let placement =
-    Placement.make
-      ~layouts:
-        [| Rvm_workload.Tpca.layout ~accounts:1 ~base:heap_base ~page_size |]
-  in
-  Scheduler.create ~plug:(plug_of cfg w.tree) ~cfg:scfg ~engine:w.engine
-    ~clock:w.clock ~obs:w.obs ~lock_mgr:(Lock_mgr.create ()) ~placement
-    ~admission ~arrivals ~gen ~rng:backoff_rng ()
+        Request.id;
+        kind = Request.Ycsb (Ycsb.next g);
+        account = 0;
+        account2 = 0;
+        teller = 0;
+        delta = 0L;
+      })
 
 (* Serial reference: replay the committed ops in commit (spool/LSN)
    order against the plain hash-table model and demand the recoverable
@@ -356,7 +324,10 @@ let publish_gauges w =
 
 let run_with_world cfg =
   let w = build_world cfg in
-  let sched = scheduler_of cfg w in
+  let scfg = serving cfg and sw = serving_world w in
+  let sched =
+    Server.scheduler_with ~plug:(plug_of cfg w.tree) ~gen:(gen_of cfg) scfg sw
+  in
   let ops = ref [] in
   Scheduler.set_hooks sched
     ~on_spool:(fun r ->
@@ -364,11 +335,7 @@ let run_with_world cfg =
       | Request.Ycsb op -> ops := op :: !ops
       | _ -> ())
     ~on_ack:(fun _ -> ());
-  let writes0 = w.log_dev.Device.stats.Device.writes in
-  let syncs0 = w.log_dev.Device.stats.Device.syncs in
-  let tally = Scheduler.run sched in
-  let log_writes = w.log_dev.Device.stats.Device.writes - writes0 in
-  let log_syncs = w.log_dev.Device.stats.Device.syncs - syncs0 in
+  let s = Server.serve scfg sw sched in
   (* Paging counters are sampled first: the gauge pass below walks every
      heap block and the serial-reference replay walks every leaf — both
      would otherwise be charged to the run. *)
@@ -380,39 +347,25 @@ let run_with_world cfg =
     match w.vm with Some vm -> Vm_sim.pageouts vm | None -> 0
   in
   publish_gauges w;
-  let lat = Array.copy tally.Scheduler.latencies_us in
-  Array.sort compare lat;
-  let n = Array.length lat in
-  let committed = tally.Scheduler.committed in
   let ts = Pbtree.stats w.tree in
   let serial_equal = serial_check cfg w (List.rev !ops) in
   let result =
     {
       cfg;
-      committed;
-      shed = tally.Scheduler.shed;
-      aborts = tally.Scheduler.aborts;
-      abort_rate =
-        (let total = tally.Scheduler.aborts + committed in
-         if total = 0 then 0.
-         else float_of_int tally.Scheduler.aborts /. float_of_int total);
-      batches = tally.Scheduler.batches;
-      duration_us = tally.Scheduler.end_us;
-      throughput_tps =
-        (if tally.Scheduler.end_us > 0. then
-           float_of_int committed /. (tally.Scheduler.end_us /. 1e6)
-         else 0.);
-      mean_latency_us =
-        (if n = 0 then 0.
-         else Array.fold_left ( +. ) 0. lat /. float_of_int n);
-      p50_latency_us = Server.percentile lat 50.;
-      p95_latency_us = Server.percentile lat 95.;
-      p99_latency_us = Server.percentile lat 99.;
-      log_writes;
-      log_syncs;
-      syncs_per_commit =
-        (if committed = 0 then 0.
-         else float_of_int log_syncs /. float_of_int committed);
+      committed = s.Server.committed;
+      shed = s.Server.shed;
+      aborts = s.Server.aborts;
+      abort_rate = s.Server.abort_rate;
+      batches = s.Server.batches;
+      duration_us = s.Server.duration_us;
+      throughput_tps = s.Server.throughput_tps;
+      mean_latency_us = s.Server.mean_latency_us;
+      p50_latency_us = s.Server.p50_latency_us;
+      p95_latency_us = s.Server.p95_latency_us;
+      p99_latency_us = s.Server.p99_latency_us;
+      log_writes = s.Server.log_writes;
+      log_syncs = s.Server.log_syncs;
+      syncs_per_commit = s.Server.syncs_per_commit;
       vm_faults;
       vm_evictions;
       vm_pageouts;
@@ -427,7 +380,11 @@ let run_with_world cfg =
   in
   (result, w)
 
-let run cfg = fst (run_with_world cfg)
+let run cfg =
+  let r, w = run_with_world cfg in
+  w.log_dev.Device.close ();
+  w.seg_dev.Device.close ();
+  r
 
 let sweep ~base mixes = List.map (fun mix -> run { base with mix }) mixes
 
@@ -439,13 +396,13 @@ let result_to_json r =
       ("records", Json.Int c.records);
       ("value_len", Json.Int c.value_len);
       ("scan_max", Json.Int c.scan_max);
-      ("degree", Json.Int c.degree);
+      ("degree", Json.Int degree);
       ("requests", Json.Int c.requests);
       ("seed", Json.Int (Int64.to_int c.seed));
       ("load", Json.String (Server.load_name c.load));
       ("batch_max", Json.Int c.batch_max);
       ("mem_fraction", Json.Float c.mem_fraction);
-      ("elr", Json.Bool c.elr);
+      ("elr", Json.Bool Server.default_config.Server.elr);
       ("committed", Json.Int r.committed);
       ("shed", Json.Int r.shed);
       ("aborts", Json.Int r.aborts);

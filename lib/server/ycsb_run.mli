@@ -22,25 +22,23 @@ type config = {
   records : int;  (** initial key population, loaded before the run *)
   value_len : int;
   scan_max : int;
-  degree : int;  (** B-tree minimum degree *)
   requests : int;
   seed : int64;
   load : Server.load;
   batch_max : int;
-  max_inflight : int;
-  max_queue : int;
-  backpressure : float;
-  backoff_base_us : float;
-  cpu_per_op_us : float;
   log_size : int;
   mem_fraction : float;
       (** physical frames as a fraction of the heap's pages; outside
           (0, 1) disables the paging simulation *)
   background_truncation : bool;
-  elr : bool;
 }
+(** Admission limits and early lock release are the server's defaults
+    ({!Server.default_config}). *)
 
 val default_config : config
+
+val degree : int
+(** B-tree minimum degree. *)
 
 type result = {
   cfg : config;
@@ -80,6 +78,7 @@ type world = {
   tree : Rvm_pds.Pbtree.t;
   vm : Rvm_vm.Vm_sim.t option;
   log_dev : Rvm_disk.Device.t;
+  seg_dev : Rvm_disk.Device.t;
 }
 
 val build_world : config -> world
@@ -88,10 +87,12 @@ val build_world : config -> world
     warm-resident. *)
 
 val run : config -> result
+(** Build, serve through {!Server.scheduler_with} and {!Server.serve},
+    check against the serial reference, and close the world's devices. *)
 
 val run_with_world : config -> result * world
 (** [run], but also hands back the world for inspection (heap occupancy,
-    registry counters, the tree itself). *)
+    registry counters, the tree itself); the caller owns its devices. *)
 
 val sweep : base:config -> Rvm_workload.Ycsb.mix list -> result list
 

@@ -209,8 +209,6 @@ let bp_cfg =
     S.batch_max = 32;
     S.max_inflight = 4;
     S.max_queue = 48;
-    S.spool_max_bytes = Some 65536;
-    S.log_spool_max_bytes = Some 65536;
     S.backpressure = 0.01;
   }
 
@@ -604,6 +602,138 @@ let prop_elr_serial_balances =
       check_balances cfg w;
       true)
 
+(* --- pinned serving runs --- *)
+
+module Y = Rvm_server.Ycsb_run
+module Ycsb = Rvm_workload.Ycsb
+
+(* Each row runs one serving configuration — the single-log and sharded
+   TPC-A worlds, ELR on and off, a shedding log, two YCSB mixes — and pins
+   its outcome exactly: committed/shed/aborts/batches/log writes/log
+   syncs/duration/p99, plus cross-shard commits or the serial-reference
+   verdict. Every stochastic choice flows from the seed and all time is
+   simulated, so a refactor of the serving layer must leave every row
+   unchanged. *)
+let pinned_row ~committed ~shed ~aborts ~batches ~log_writes ~log_syncs
+    ~duration_us ~p99_us =
+  Printf.sprintf "%d/%d/%d/%d/%d/%d/%.0f/%.1f" committed shed aborts batches
+    log_writes log_syncs duration_us p99_us
+
+let pinned_server cfg =
+  let r = S.run cfg in
+  pinned_row ~committed:r.S.committed ~shed:r.S.shed ~aborts:r.S.aborts
+    ~batches:r.S.batches ~log_writes:r.S.log_writes ~log_syncs:r.S.log_syncs
+    ~duration_us:r.S.duration_us ~p99_us:r.S.p99_latency_us
+  ^ if cfg.S.shards > 1 then Printf.sprintf " cross %d" r.S.cross_committed
+    else ""
+
+let pinned_ycsb cfg =
+  let r = Y.run cfg in
+  pinned_row ~committed:r.Y.committed ~shed:r.Y.shed ~aborts:r.Y.aborts
+    ~batches:r.Y.batches ~log_writes:r.Y.log_writes ~log_syncs:r.Y.log_syncs
+    ~duration_us:r.Y.duration_us ~p99_us:r.Y.p99_latency_us
+  ^ if r.Y.serial_equal then " serial equal" else " serial DIFFERS"
+
+let test_pinned_runs () =
+  let d = S.default_config in
+  let yb =
+    {
+      Y.default_config with
+      Y.records = 2_000;
+      requests = 200;
+      load = S.Open_loop 60.;
+      mem_fraction = 0.;
+    }
+  in
+  let contended elr =
+    {
+      d with
+      S.accounts = 50;
+      requests = 200;
+      zipf_s = 0.99;
+      read_pct = 20;
+      transfer_pct = 30;
+      batch_max = 16;
+      load = S.Closed_loop { sessions = 24; think_us = 500. };
+      max_inflight = 24;
+      max_queue = 1000;
+      elr;
+    }
+  in
+  List.iter
+    (fun (name, run, expected) ->
+      Alcotest.(check string) name expected (run ()))
+    [
+      ( "unbatched",
+        (fun () -> pinned_server { d with S.requests = 200; batch_max = 1 }),
+        "200/0/5/200/200/200/4814934/129586.4" );
+      ( "batched",
+        (fun () -> pinned_server { d with S.requests = 200 }),
+        "200/0/3/158/158/158/4798434/43376.7" );
+      ( "2 shards, 20% reads",
+        (fun () ->
+          pinned_server { d with S.requests = 200; shards = 2; read_pct = 20 }),
+        "165/0/0/144/185/185/4783872/44633.8 cross 19" );
+      ( "4 shards, batch 64",
+        (fun () ->
+          pinned_server
+            {
+              d with
+              S.requests = 300;
+              shards = 4;
+              batch_max = 64;
+              transfer_pct = 10;
+              max_inflight = 64;
+              max_queue = 1000;
+              load = S.Open_loop 640.;
+            }),
+        "300/0/74/8/29/29/534757/162234.8 cross 23" );
+      ( "contended, ELR off",
+        (fun () -> pinned_server (contended false)),
+        "167/0/24/51/51/51/1414923/567660.4" );
+      ( "contended, ELR on",
+        (fun () -> pinned_server (contended true)),
+        "167/0/16/11/11/11/750311/213053.0" );
+      ( "128 KiB log sheds",
+        (fun () ->
+          pinned_server
+            {
+              d with
+              S.requests = 1_500;
+              log_size = 128 * 1024;
+              load = S.Open_loop 160.;
+            }),
+        "1354/146/236/189/206/202/9506828/463832.3" );
+      ( "YCSB-F",
+        (fun () -> pinned_ycsb { yb with Y.mix = Ycsb.F }),
+        "200/0/0/145/84/145/3195969/45719.1 serial equal" );
+      ( "YCSB-D, paging",
+        (fun () -> pinned_ycsb { yb with Y.mix = Ycsb.D; mem_fraction = 0.25 }),
+        "200/0/0/174/8/174/3176623/31584.9 serial equal" );
+    ]
+
+(* --- finished runs release their memory devices --- *)
+
+module Mem_device = Rvm_disk.Mem_device
+
+let test_runs_release_devices () =
+  let live0 = Mem_device.live () in
+  let small = { S.default_config with S.requests = 20 } in
+  ignore (S.run small);
+  ignore (S.run { small with S.shards = 2 });
+  ignore (S.run_monitored small);
+  ignore (Y.run { Y.default_config with Y.records = 200; requests = 20 });
+  check_int "finished runs hold no device" live0 (Mem_device.live ());
+  let w, _ = S.run_with_world { small with S.shards = 2 } in
+  check_int "an open world holds log and segment per shard" (live0 + 4)
+    (Mem_device.live ());
+  S.close_world w;
+  check_int "closing releases them" live0 (Mem_device.live ());
+  check_bool "a closed log has no image" true
+    (match Mem_device.snapshot w.S.log_devs.(0) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   [
     ("admission.caps", `Quick, test_admission_caps);
@@ -637,6 +767,8 @@ let suite =
       `Quick,
       test_background_truncation_run );
     ("server.trace-parents-commits", `Quick, test_trace_parenting);
+    ("server.pinned-runs", `Quick, test_pinned_runs);
+    ("server.runs-release-devices", `Quick, test_runs_release_devices);
     QCheck_alcotest.to_alcotest prop_no_hang_and_serial_balances;
     QCheck_alcotest.to_alcotest prop_elr_serial_balances;
   ]
