@@ -3,8 +3,8 @@
     1993 disk would take.
 
     Writes model the Unix buffer cache: they cost only a memory copy and
-    coalesce into dirty extents (a write that continues the previous one
-    extends its extent). [sync] pays one seek + rotation + transfer per
+    coalesce into dirty extents (a write that overlaps or abuts a dirty
+    extent merges into it). [sync] pays one seek + rotation + transfer per
     extent — so a streak of sequential log appends costs a single ~17 ms
     force, while truncation's scattered page writes cost one positioning
     delay each. Reads are synchronous device accesses (region data caching

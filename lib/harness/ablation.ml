@@ -1,6 +1,7 @@
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
 module Stats = Rvm_util.Stats
+module Device = Rvm_disk.Device
 module Mem_device = Rvm_disk.Mem_device
 module Sim_device = Rvm_disk.Sim_device
 module Rvm_m = Rvm_core.Rvm
@@ -28,6 +29,9 @@ let truncation_modes ?(measure = 4000) () =
     ~header:[ "Truncation"; "txn/s"; "CPU ms/txn"; "faults" ]
     ~rows:[ row Types.Epoch "epoch (Fig. 6)"; row Types.Incremental "incremental (Fig. 7)" ]
 
+(* Memory devices keep their whole image registered until closed. *)
+let close_all devs = List.iter (fun (d : Device.t) -> d.Device.close ()) devs
+
 let optimizations () =
   let profile = Coda.find "berlioz" in
   let run_with ~intra ~inter =
@@ -48,6 +52,7 @@ let optimizations () =
     let base = 16 * 4096 in
     ignore (Rvm_m.map rvm ~vaddr:base ~seg:1 ~seg_off:0 ~len:(1024 * 1024) ());
     let r = Coda.run profile rvm ~base ~len:(1024 * 1024) ~seed:5L in
+    close_all [ log_dev; seg_dev ];
     r.Coda.bytes_logged
   in
   let baseline = run_with ~intra:false ~inter:false in
@@ -87,7 +92,7 @@ let micro_world () =
   in
   let base = 16 * 4096 in
   ignore (Rvm_m.map rvm ~vaddr:base ~seg:1 ~seg_off:0 ~len:(1024 * 1024) ());
-  (rvm, clock, base)
+  (rvm, clock, base, [ log_dev; seg_dev ])
 
 let commit_modes () =
   let txn_wall rvm clock base ~restore ~commit_mode ~n =
@@ -105,18 +110,15 @@ let commit_modes () =
     if commit_mode = Types.No_flush then Rvm_m.flush rvm;
     (Clock.now_us clock -. t0) /. float_of_int n /. 1e3
   in
-  let rvm, clock, base = micro_world () in
-  let flush_restore =
-    txn_wall rvm clock base ~restore:true ~commit_mode:Types.Flush ~n:300
+  let measure ~restore ~commit_mode =
+    let rvm, clock, base, devs = micro_world () in
+    let ms = txn_wall rvm clock base ~restore ~commit_mode ~n:300 in
+    close_all devs;
+    ms
   in
-  let rvm2, clock2, base2 = micro_world () in
-  let noflush =
-    txn_wall rvm2 clock2 base2 ~restore:true ~commit_mode:Types.No_flush ~n:300
-  in
-  let rvm3, clock3, base3 = micro_world () in
-  let norestore =
-    txn_wall rvm3 clock3 base3 ~restore:false ~commit_mode:Types.Flush ~n:300
-  in
+  let flush_restore = measure ~restore:true ~commit_mode:Types.Flush in
+  let noflush = measure ~restore:true ~commit_mode:Types.No_flush in
+  let norestore = measure ~restore:false ~commit_mode:Types.Flush in
   Report.table
     ~title:
       "Ablation: transaction modes (256-byte update; no-flush amortizes \
@@ -171,6 +173,7 @@ let startup_latency () =
       ignore (Rvm_m.get_u8 rvm ~addr:(base + Rvm_util.Rng.int rng len))
     done;
     let touch_s = (Clock.now_us clock -. t1) /. 1e6 in
+    close_all [ log_dev; seg_base ];
     (map_s, touch_s)
   in
   let rows =

@@ -1,6 +1,7 @@
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
 module Stats = Rvm_util.Stats
+module Device = Rvm_disk.Device
 module Mem_device = Rvm_disk.Mem_device
 module Sim_device = Rvm_disk.Sim_device
 module Vm_sim = Rvm_vm.Vm_sim
@@ -80,10 +81,15 @@ let tpca_run ?(log_size = 4 * 1024 * 1024) ?(warmup = 600) ?(measure = 5000)
   let log_dev = Sim_device.device log_sim in
   Rvm_m.create_log log_dev;
   let state = Tpca.create layout pattern ~seed in
+  let seg_base = Mem_device.create ~name:"seg" ~size:seg_size () in
+  (* Memory devices stay registered (whole image resident) until closed. *)
+  Fun.protect ~finally:(fun () ->
+      log_dev.Device.close ();
+      seg_base.Device.close ())
+  @@ fun () ->
   let drv, vm, rvm_handle =
     match engine with
     | Rvm ->
-      let seg_base = Mem_device.create ~name:"seg" ~size:seg_size () in
       let seg_sim =
         Sim_device.create ~seek_fraction:data_sweep_seek_fraction
           ~sector:page_size ~base:seg_base ~clock
@@ -112,7 +118,6 @@ let tpca_run ?(log_size = 4 * 1024 * 1024) ?(warmup = 600) ?(measure = 5000)
       (* Camelot's Disk Manager is the external pager: faults and evictions
          go to the data segment itself, and its truncation sweeps carry
          their own explicit cost, so the segment device is unwrapped. *)
-      let seg_base = Mem_device.create ~name:"seg" ~size:seg_size () in
       (* Camelot's external pager writes dirty pages through the Disk
          Manager to the data segment's disk — the same arm its fault reads
          need, so evictions block (the paging activity of section 7.1.2). *)

@@ -14,7 +14,11 @@ let run_machine ~seed (profile : Coda.profile) =
   let base = 16 * 4096 in
   let len = 1024 * 1024 in
   ignore (Rvm_m.map rvm ~vaddr:base ~seg:1 ~seg_off:0 ~len ());
-  Coda.run profile rvm ~base ~len ~seed
+  let r = Coda.run profile rvm ~base ~len ~seed in
+  (* Memory devices keep their whole image registered until closed. *)
+  log_dev.Rvm_disk.Device.close ();
+  seg_dev.Rvm_disk.Device.close ();
+  r
 
 let run ?(seed = 42L) () =
   List.map (fun p -> run_machine ~seed p) Coda.machines

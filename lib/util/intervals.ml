@@ -17,23 +17,26 @@ let add t ~lo ~len =
   if len = 0 then t
   else begin
     let hi = lo + len in
-    (* Extend left if the predecessor overlaps or is adjacent — keeping its
-       right edge, which may already reach past the new interval. *)
-    let lo', hi, t =
-      match pred_interval t lo with
-      | Some (plo, phi) when phi >= lo -> (plo, max hi phi, M.remove plo t)
-      | _ -> (lo, hi, t)
-    in
-    (* Absorb every interval starting within [lo', hi], tracking the
-       furthest right edge. *)
-    let rec absorb t hi' =
-      match M.find_first_opt (fun k -> k >= lo') t with
-      | Some (klo, khi) when klo <= hi' ->
-        absorb (M.remove klo t) (max hi' khi)
-      | _ -> (t, hi')
-    in
-    let t, hi' = absorb t hi in
-    M.add lo' hi' t
+    match pred_interval t lo with
+    | Some (_, phi) when phi >= hi -> t (* already covered *)
+    | pred ->
+      (* Extend left if the predecessor overlaps or is adjacent — keeping
+         its right edge, which may already reach past the new interval. *)
+      let lo', hi, t =
+        match pred with
+        | Some (plo, phi) when phi >= lo -> (plo, max hi phi, M.remove plo t)
+        | _ -> (lo, hi, t)
+      in
+      (* Absorb every interval starting within [lo', hi], tracking the
+         furthest right edge. *)
+      let rec absorb t hi' =
+        match M.find_first_opt (fun k -> k >= lo') t with
+        | Some (klo, khi) when klo <= hi' ->
+          absorb (M.remove klo t) (max hi' khi)
+        | _ -> (t, hi')
+      in
+      let t, hi' = absorb t hi in
+      M.add lo' hi' t
   end
 
 let gaps t ~lo ~len =

@@ -267,6 +267,162 @@ let test_sim_background_routing () =
     (Clock.now_us clock);
   check_bool "accrues backlog" true (Clock.backlog_us clock > 0.)
 
+(* The simulated charges of a sync, pinned against a reference that keeps
+   one bool per sector and charges each run of consecutive dirty sectors,
+   highest start first — the order the sweep has always issued them in.
+   Clock and busy time must agree to the bit after every sync, so the
+   extent bookkeeping can change without moving any simulated figure. *)
+type sim_op =
+  | Write of [ `At of int | `After | `Inside of int ] * int
+  | Read of int * int
+  | Sync
+  | Background of bool
+
+let sim_dev_size = 65536
+
+let pp_sim_op = function
+  | Write (`At off, len) -> Printf.sprintf "write@%d+%d" off len
+  | Write (`After, len) -> Printf.sprintf "write-after+%d" len
+  | Write (`Inside k, len) -> Printf.sprintf "write-inside(%d)+%d" k len
+  | Read (off, len) -> Printf.sprintf "read@%d+%d" off len
+  | Sync -> "sync"
+  | Background b -> Printf.sprintf "background %b" b
+
+let sim_case_gen =
+  let open QCheck.Gen in
+  let len = oneof [ int_range 0 16; int_range 0 8192 ] in
+  let op =
+    frequency
+      [
+        (4, map2 (fun off l -> Write (`At off, l)) (int_bound (sim_dev_size - 1)) len);
+        (4, map (fun l -> Write (`After, l)) len);
+        (3, map2 (fun k l -> Write (`Inside k, l)) (int_bound 1000) len);
+        (1, map2 (fun off l -> Read (off, l)) (int_bound (sim_dev_size - 1)) (int_range 1 4096));
+        (2, return Sync);
+        (1, map (fun b -> Background b) bool);
+      ]
+  in
+  triple (oneofl [ 1; 512; 4096 ]) (oneofl [ 0.05; 1.0 ])
+    (list_size (int_range 1 80) op)
+
+let prop_sim_charges_match_reference =
+  QCheck.Test.make ~count:150
+    ~name:"sim: sync charges equal a per-sector reference, bit for bit"
+    (QCheck.make
+       ~print:(fun (sector, sf, ops) ->
+         Printf.sprintf "sector=%d seek_fraction=%g [%s]" sector sf
+           (String.concat "; " (List.map pp_sim_op ops)))
+       sim_case_gen)
+    (fun (sector, seek_fraction, ops) ->
+      let disk = Cost_model.dec5000.Cost_model.log_disk in
+      let clock = Clock.simulated () in
+      let sim =
+        Sim_device.create ~seek_fraction ~sector
+          ~base:(Mem_device.of_bytes (Bytes.make sim_dev_size '\000'))
+          ~clock ~disk ()
+      in
+      let dev = Sim_device.device sim in
+      let rclock = Clock.simulated () in
+      let dirty = Array.make ((sim_dev_size + sector - 1) / sector) false in
+      let rbusy = ref 0. and rios = ref 0 and rbg = ref false in
+      let rcharge us =
+        rbusy := !rbusy +. us;
+        if !rbg then Clock.charge_background rclock us
+        else Clock.charge_io rclock us
+      in
+      let service bytes =
+        Cost_model.disk_service_us disk ~seek_fraction ~bytes ()
+      in
+      (* Runs of dirty sectors, found scanning downwards so the first run
+         charged is the one with the highest start. *)
+      let rsync () =
+        let s = ref (Array.length dirty - 1) in
+        while !s >= 0 do
+          if dirty.(!s) then begin
+            let hi = !s in
+            while !s >= 0 && dirty.(!s) do
+              dirty.(!s) <- false;
+              decr s
+            done;
+            incr rios;
+            rcharge (service ((hi - !s) * sector))
+          end
+          else decr s
+        done
+      in
+      let last = ref (0, 0) in
+      let bits = Int64.bits_of_float in
+      let agree what a b =
+        if bits a <> bits b then
+          QCheck.Test.fail_reportf "%s: %h (device) <> %h (reference)" what a b
+      in
+      let buf = Bytes.make 8192 'x' in
+      List.iter
+        (fun op ->
+          match op with
+          | Write (at, len) ->
+            let loff, llen = !last in
+            let off =
+              match at with
+              | `At off -> off
+              | `After -> loff + llen
+              | `Inside k -> loff + (if llen = 0 then 0 else k mod llen)
+            in
+            let off = max 0 (min off (sim_dev_size - len)) in
+            dev.Device.write ~off ~buf ~pos:0 ~len;
+            last := (off, len);
+            if len > 0 then
+              for s = off / sector to (off + len - 1) / sector do
+                dirty.(s) <- true
+              done
+          | Read (off, len) ->
+            let off = min off (sim_dev_size - len) in
+            dev.Device.read ~off ~buf ~pos:0 ~len;
+            incr rios;
+            rcharge (service len)
+          | Background b ->
+            Sim_device.set_background sim b;
+            rbg := b
+          | Sync ->
+            dev.Device.sync ();
+            rsync ();
+            agree "now_us" (Clock.now_us clock) (Clock.now_us rclock);
+            agree "backlog_us" (Clock.backlog_us clock) (Clock.backlog_us rclock);
+            agree "busy_us" (Sim_device.busy_us sim) !rbusy;
+            if Sim_device.io_count sim <> !rios then
+              QCheck.Test.fail_reportf "io_count %d <> reference %d"
+                (Sim_device.io_count sim) !rios)
+        (ops @ [ Sync ]);
+      true)
+
+(* Host cost of dirty tracking: a write must cost O(1) allocation whatever
+   its length, even on a byte-granular (sector 1) log disk. Per-sector
+   bookkeeping costs ~76 words per byte and makes the simulator, not RVM,
+   the largest layer of a latency-wrapped server run. *)
+let test_sim_write_alloc_bounded () =
+  let total = 4 * 1024 * 1024 in
+  List.iter
+    (fun len ->
+      let base = Mem_device.create ~size:total () in
+      let sim =
+        Sim_device.create ~base ~clock:(Clock.simulated ())
+          ~disk:Cost_model.dec5000.Cost_model.log_disk ()
+      in
+      let dev = Sim_device.device sim in
+      let buf = Bytes.make len 'w' in
+      let writes = total / len in
+      let w0 = Gc.minor_words () in
+      for i = 0 to writes - 1 do
+        dev.Device.write ~off:(i * len) ~buf ~pos:0 ~len
+      done;
+      dev.Device.sync ();
+      let per_write = (Gc.minor_words () -. w0) /. float_of_int writes in
+      dev.Device.close ();
+      check_bool
+        (Printf.sprintf "%d-byte writes: %.1f words/write <= 64" len per_write)
+        true (per_write <= 64.))
+    [ 64; 1024; 16384 ]
+
 let test_mem_snapshot () =
   let dev = Mem_device.create ~size:32 () in
   Device.write_string dev ~off:0 "snapshot";
@@ -379,8 +535,10 @@ let suite =
     ("sim.charges-reads", `Quick, test_sim_charges_reads);
     ("sim.write-buffering", `Quick, test_sim_write_buffering);
     ("sim.background", `Quick, test_sim_background_routing);
+    ("sim.write-alloc-bounded", `Quick, test_sim_write_alloc_bounded);
     ("mem.snapshot", `Quick, test_mem_snapshot);
     ("crash.forwards-close", `Quick, test_crash_forwards_close);
     ("stack.composition", `Quick, test_stack_composition);
     ("stack.preserves-name", `Quick, test_layer_preserves_name);
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_sim_charges_match_reference ]

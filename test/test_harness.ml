@@ -120,8 +120,25 @@ let test_table2_all_rows_close () =
         < 5.0))
     results
 
+(* A run releases its memory devices: each keeps its whole image in
+   Mem_device's registry until closed, so a leak keeps every Table 1
+   configuration of a sweep resident at once. *)
+let test_tpca_run_releases_devices () =
+  List.iter
+    (fun engine ->
+      let live0 = Rvm_disk.Mem_device.live () in
+      ignore
+        (Experiment.tpca_run ~warmup:10 ~measure:50
+           ~truncation_mode:Rvm_core.Types.Incremental ~engine ~accounts:small
+           ~pattern:Tpca.Random ~seed:5L ());
+      Alcotest.(check int)
+        (Experiment.engine_name engine ^ " run leaves no live device")
+        live0 (Rvm_disk.Mem_device.live ()))
+    [ Experiment.Rvm; Experiment.Camelot ]
+
 let suite =
   [
+    ("tpca-run.releases-devices", `Quick, test_tpca_run_releases_devices);
     ("shape.sequential-bound", `Slow, test_sequential_disk_bound);
     ("shape.rvm-beats-camelot", `Slow, test_rvm_beats_camelot);
     ("shape.rvm-random-knee", `Slow, test_rvm_random_knee);
